@@ -6,9 +6,15 @@ wherever one exists, so the differentiable path and the plain-numpy path
 compute identical numbers. Backward passes are hand-written per op and are
 validated end-to-end by finite differences in the test-suite/harness.
 
+Every op takes any number of leading axes: tokens are ``[..., N, D]``, maps
+``[..., H, W, C]`` and sampling points ``[..., N, 2]``. A single image is the
+case with no leading axes and a batch adds one, so both run the same code.
+
 All values are float64. Gradients only flow into subgraphs that contain a
 leaf created with ``needs_grad=True``; everything else is treated as a
-constant.
+constant. A node that needs no gradient keeps neither its parents nor its
+vjp, so a forward pass without gradients frees intermediates as it goes, and
+a vjp computes gradients only for the parents that need one.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ Array = np.ndarray
 class Var:
     """A node in the computation graph: a value plus how to backprop it."""
 
-    __slots__ = ("value", "grad", "parents", "vjp", "needs_grad")
+    __slots__ = ("value", "grad", "parents", "vjp", "needs_grad", "__weakref__")
 
     def __init__(
         self,
@@ -37,9 +43,9 @@ class Var:
     ) -> None:
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: Array | None = None
-        self.parents = parents
-        self.vjp = vjp
         self.needs_grad = needs_grad or any(p.needs_grad for p in parents)
+        self.parents = parents if self.needs_grad else ()
+        self.vjp = vjp if self.needs_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -55,7 +61,12 @@ def as_var(x: "Var | Array | float") -> Var:
 
 
 def backward(root: Var) -> None:
-    """Accumulate gradients of a scalar ``root`` into every needs-grad leaf."""
+    """Accumulate gradients of a scalar ``root`` into every needs-grad leaf.
+
+    The tape is consumed: each interior node drops its vjp, parents and
+    gradient once its vjp has run, so activations are freed as backward
+    proceeds. Leaf gradients and every node's value stay readable.
+    """
     if root.value.size != 1:
         raise ValueError(f"backward expects a scalar root, got shape {root.shape}")
     order: list[Var] = []
@@ -74,23 +85,35 @@ def backward(root: Var) -> None:
             stack.append((p, False))
 
     root.grad = np.ones_like(root.value)
-    for node in reversed(order):
-        if node.vjp is None or node.grad is None:
-            continue
-        for parent, g in zip(node.parents, node.vjp(node.grad)):
-            if g is None or not parent.needs_grad:
-                continue
-            parent.grad = g if parent.grad is None else parent.grad + g
+    while order:
+        node = order.pop()
+        if node.vjp is not None and node.grad is not None:
+            for parent, g in zip(node.parents, node.vjp(node.grad)):
+                if g is None or not parent.needs_grad:
+                    continue
+                parent.grad = g if parent.grad is None else parent.grad + g
+        if node.parents:
+            node.grad = None
+            node.parents = ()
+            node.vjp = None
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum a gradient down to ``shape`` (the reverse of numpy broadcasting)."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra:
+        grad = grad.sum(axis=tuple(range(extra)))
+    kept = tuple(ax for ax, n in enumerate(shape) if n == 1 and grad.shape[ax] != 1)
+    if kept:
+        grad = grad.sum(axis=kept, keepdims=True)
     return grad.reshape(shape)
+
+
+def _rows(a: Array) -> Array:
+    """Collapse every axis but the last: [..., D] -> [L, D]."""
+    return a.reshape(-1, a.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +135,7 @@ def sub(a: Var, b: Var) -> Var:
     return Var(
         a.value - b.value,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
+        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape) if b.needs_grad else None),
     )
 
 
@@ -121,7 +144,10 @@ def mul(a: Var, b: Var) -> Var:
     return Var(
         a.value * b.value,
         (a, b),
-        lambda g: (_unbroadcast(g * b.value, a.shape), _unbroadcast(g * a.value, b.shape)),
+        lambda g: (
+            _unbroadcast(g * b.value, a.shape) if a.needs_grad else None,
+            _unbroadcast(g * a.value, b.shape) if b.needs_grad else None,
+        ),
     )
 
 
@@ -140,22 +166,46 @@ def transpose(a: Var, axes: tuple[int, ...]) -> Var:
     return Var(a.value.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
-def matmul(a: Var, b: Var) -> Var:
+def swapaxes(a: Var, ax1: int, ax2: int) -> Var:
+    return Var(a.value.swapaxes(ax1, ax2), (a,), lambda g: (g.swapaxes(ax1, ax2),))
+
+
+def matmul(a: Var, b: Var, bias: Var | None = None) -> Var:
+    """``a @ b`` (plus ``bias``) as one node.
+
+    A 2-D ``b`` is a weight shared by every leading index of ``a``: the
+    product and the weight's gradient run as one GEMM over all rows.
+    """
     av, bv = a.value, b.value
     if av.ndim > 2 and bv.ndim > 2 and av.shape[:-2] != bv.shape[:-2]:
         raise ValueError(f"matmul: batch dims differ {av.shape} @ {bv.shape}")
+    shared = bv.ndim == 2
+    if shared and av.ndim > 2:
+        out = (_rows(av) @ bv).reshape(*av.shape[:-1], bv.shape[-1])
+    else:
+        out = av @ bv
+    if bias is not None:
+        out += bias.value
 
-    def vjp(g: Array) -> tuple[Array, Array]:
-        ga = g @ bv.swapaxes(-1, -2)
-        gb = av.swapaxes(-1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+    def vjp(g: Array) -> tuple[Array | None, Array | None, Array | None]:
+        ga = gb = gbias = None
+        if a.needs_grad:
+            ga = _unbroadcast(g @ bv.swapaxes(-1, -2), a.shape)
+        if b.needs_grad:
+            if shared:
+                gb = _rows(av).T @ _rows(g)
+            else:
+                gb = _unbroadcast(av.swapaxes(-1, -2) @ g, b.shape)
+        if bias is not None and bias.needs_grad:
+            gbias = _unbroadcast(g, bias.shape)
+        return ga, gb, gbias
 
-    return Var(av @ bv, (a, b), vjp)
+    return Var(out, (a, b) if bias is None else (a, b, bias), vjp)
 
 
 def take_index(a: Var, index: int, axis: int) -> Var:
     """Select one slice along ``axis`` (an integer index, dim removed)."""
-    sel: tuple = (slice(None),) * axis + (index,)
+    sel: tuple = (slice(None),) * (axis % a.value.ndim) + (index,)
 
     def vjp(g: Array) -> tuple[Array]:
         out = np.zeros_like(a.value)
@@ -165,56 +215,37 @@ def take_index(a: Var, index: int, axis: int) -> Var:
     return Var(a.value[sel], (a,), vjp)
 
 
-def slice_last(a: Var, start: int, stop: int) -> Var:
-    def vjp(g: Array) -> tuple[Array]:
-        out = np.zeros_like(a.value)
-        out[..., start:stop] = g
-        return (out,)
-
-    return Var(a.value[..., start:stop], (a,), vjp)
-
-
-def concat_last(parts: Sequence[Var]) -> Var:
-    sizes = [p.shape[-1] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g: Array) -> tuple[Array, ...]:
-        return tuple(g[..., offsets[i] : offsets[i + 1]] for i in range(len(parts)))
-
-    return Var(np.concatenate([p.value for p in parts], axis=-1), tuple(parts), vjp)
-
-
 def pad_grid(a: Var, pad_h: int, pad_w: int) -> Var:
-    """Zero-pad a [H, W, C] map on the bottom/right edges."""
-    h, w, _ = a.shape
+    """Zero-pad [..., H, W, C] maps on the bottom/right edges."""
+    h, w = a.shape[-3:-1]
+    widths = [(0, 0)] * (a.value.ndim - 3) + [(0, pad_h), (0, pad_w), (0, 0)]
 
     def vjp(g: Array) -> tuple[Array]:
-        return (g[:h, :w, :],)
+        return (g[..., :h, :w, :],)
 
-    return Var(np.pad(a.value, ((0, pad_h), (0, pad_w), (0, 0))), (a,), vjp)
+    return Var(np.pad(a.value, widths), (a,), vjp)
 
 
 def crop_grid(a: Var, out_h: int, out_w: int) -> Var:
-    """Keep the top-left [out_h, out_w] corner of a [H, W, C] map."""
+    """Keep the top-left [out_h, out_w] corner of [..., H, W, C] maps."""
 
     def vjp(g: Array) -> tuple[Array]:
         out = np.zeros_like(a.value)
-        out[:out_h, :out_w, :] = g
+        out[..., :out_h, :out_w, :] = g
         return (out,)
 
-    return Var(a.value[:out_h, :out_w, :], (a,), vjp)
+    return Var(a.value[..., :out_h, :out_w, :], (a,), vjp)
+
+
+def _axes(axis: int | tuple[int, ...], ndim: int) -> tuple[int, ...]:
+    return tuple(ax % ndim for ax in ((axis,) if isinstance(axis, int) else axis))
 
 
 def sum_op(a: Var, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Var:
     def vjp(g: Array) -> tuple[Array]:
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g
-        if not keepdims:
-            axes = (axis,) if isinstance(axis, int) else axis
-            for ax in sorted(axes):
-                gg = np.expand_dims(gg, ax)
-        return (np.broadcast_to(gg, a.shape).copy(),)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, _axes(axis, a.value.ndim))
+        return (np.broadcast_to(g, a.shape).copy(),)
 
     return Var(a.value.sum(axis=axis, keepdims=keepdims), (a,), vjp)
 
@@ -223,9 +254,20 @@ def mean_op(a: Var, axis: int | tuple[int, ...] | None = None, keepdims: bool = 
     if axis is None:
         n = a.value.size
     else:
-        axes = (axis,) if isinstance(axis, int) else axis
-        n = int(np.prod([a.shape[ax] for ax in axes]))
+        n = int(np.prod([a.shape[ax] for ax in _axes(axis, a.value.ndim)]))
     return scale(sum_op(a, axis=axis, keepdims=keepdims), 1.0 / n)
+
+
+def weighted_sum_op(x: Var, w: Var) -> Var:
+    """``sum_k w[..., k] * x[..., k, :]``: [..., K, C] and [..., K] -> [..., C]."""
+    xv, wv = x.value, w.value
+
+    def vjp(g: Array) -> tuple[Array | None, Array | None]:
+        gx = wv[..., :, None] * g[..., None, :] if x.needs_grad else None
+        gw = np.einsum("...kc,...c->...k", xv, g) if w.needs_grad else None
+        return gx, gw
+
+    return Var(np.einsum("...k,...kc->...c", wv, xv), (x, w), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +286,30 @@ def softmax_op(a: Var) -> Var:
 
 
 def gelu_op(a: Var) -> Var:
-    x = a.value
-    y = prim.gelu(x)
-
     def vjp(g: Array) -> tuple[Array]:
+        x = a.value
         cdf = 0.5 * (1.0 + erf(x * prim._INV_SQRT2))
         pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
         return (g * (cdf + x * pdf),)
 
-    return Var(y, (a,), vjp)
+    return Var(prim.gelu(a.value), (a,), vjp)
+
+
+def _norm_vjp(
+    g: Array, xhat: Array, s: Array, gain: Array, n: int, red: tuple[int, ...]
+) -> Array:
+    """Input gradient of ``xhat * gain`` where xhat is normalized over ``red``."""
+    dxhat = g * gain
+    return (
+        1.0
+        / s
+        / n
+        * (
+            n * dxhat
+            - dxhat.sum(axis=red, keepdims=True)
+            - xhat * (dxhat * xhat).sum(axis=red, keepdims=True)
+        )
+    )
 
 
 def layer_norm_op(x: Var, gain: Var, shift: Var, eps: float = 1e-6) -> Var:
@@ -261,80 +318,62 @@ def layer_norm_op(x: Var, gain: Var, shift: Var, eps: float = 1e-6) -> Var:
     mu = xv.mean(axis=-1, keepdims=True)
     var = np.mean((xv - mu) ** 2, axis=-1, keepdims=True)
     s = np.sqrt(var + eps)
-    xhat = (xv - mu) / s
-    inv = 1.0 / s
-    n = xv.shape[-1]
-    out = xhat * gain.value + shift.value
+    out = (xv - mu) / s
+    out *= gain.value
+    out += shift.value
 
-    def vjp(g: Array) -> tuple[Array, Array, Array]:
-        dxhat = g * gain.value
-        dx = (
-            inv
-            / n
-            * (
-                n * dxhat
-                - dxhat.sum(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
-            )
-        )
-        lead = tuple(range(g.ndim - 1))
-        return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+    def vjp(g: Array) -> tuple[Array | None, Array, Array]:
+        xhat = (x.value - mu) / s  # recomputed rather than kept on the tape
+        dx = _norm_vjp(g, xhat, s, gain.value, xv.shape[-1], (-1,)) if x.needs_grad else None
+        return dx, (_rows(g) * _rows(xhat)).sum(axis=0), _rows(g).sum(axis=0)
 
     return Var(out, (x, gain, shift), vjp)
 
 
 def group_norm_op(x: Var, groups: int, gain: Var, shift: Var, eps: float = 1e-6) -> Var:
-    """GroupNorm of a [H, W, C] map (statistics per group over H, W, C/G)."""
+    """GroupNorm of [..., H, W, C] maps (statistics per map and group over H, W, C/G)."""
     xv = x.value
-    h, w, c = xv.shape
-    cg = c // groups
-    gview = xv.reshape(h, w, groups, cg)
-    mu = gview.mean(axis=(0, 1, 3), keepdims=True)
-    var = np.mean((gview - mu) ** 2, axis=(0, 1, 3), keepdims=True)
+    h, w, c = xv.shape[-3:]
+    gshape = xv.shape[:-1] + (groups, c // groups)
+    red = prim.GROUP_AXES
+    gview = xv.reshape(gshape)
+    mu = gview.mean(axis=red, keepdims=True)
+    var = np.mean((gview - mu) ** 2, axis=red, keepdims=True)
     s = np.sqrt(var + eps)
-    xhat = (gview - mu) / s
-    inv = 1.0 / s
-    n = h * w * cg
-    out = xhat.reshape(h, w, c) * gain.value + shift.value
+    out = ((gview - mu) / s).reshape(xv.shape) * gain.value + shift.value
 
-    def vjp(g: Array) -> tuple[Array, Array, Array]:
-        dxhat = (g * gain.value).reshape(h, w, groups, cg)
-        red = (0, 1, 3)
-        dx = (
-            inv
-            / n
-            * (
-                n * dxhat
-                - dxhat.sum(axis=red, keepdims=True)
-                - xhat * (dxhat * xhat).sum(axis=red, keepdims=True)
-            )
-        ).reshape(h, w, c)
-        xh = xhat.reshape(h, w, c)
-        return dx, (g * xh).sum(axis=(0, 1)), g.sum(axis=(0, 1))
+    def vjp(g: Array) -> tuple[Array | None, Array, Array]:
+        xhat = (x.value.reshape(gshape) - mu) / s
+        dx = None
+        if x.needs_grad:
+            gain_g = gain.value.reshape(groups, c // groups)
+            dx = _norm_vjp(g.reshape(gshape), xhat, s, gain_g, h * w * (c // groups), red)
+            dx = dx.reshape(xv.shape)
+        return dx, (_rows(g) * xhat.reshape(-1, c)).sum(axis=0), _rows(g).sum(axis=0)
 
     return Var(out, (x, gain, shift), vjp)
 
 
 def linear_op(x: Var, weight: Var, bias: Var | None = None) -> Var:
-    """x: [..., d_in] times weight [d_in, d_out] plus bias."""
-    out = matmul(x, weight)
-    if bias is not None:
-        out = add(out, bias)
-    return out
+    """x: [..., d_in] times weight [d_in, d_out] plus bias, as one node."""
+    return matmul(x, weight, bias)
 
 
-def cross_entropy_op(logits: Var, label: int) -> Var:
+def cross_entropy_op(logits: Var, labels: int | Array) -> Var:
+    """Mean cross-entropy of [..., C] logits against integer labels [...]."""
     lv = logits.value
-    m = lv.max()
-    lse = m + np.log(np.sum(np.exp(lv - m)))
-    probs = np.exp(lv - lse)
+    labels = np.asarray(labels, dtype=np.int64)[..., None]
+    m = lv.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.sum(np.exp(lv - m), axis=-1, keepdims=True))
+    losses = lse - np.take_along_axis(lv, labels, axis=-1)
+    n = losses.size
 
     def vjp(g: Array) -> tuple[Array]:
-        d = probs.copy()
-        d[label] -= 1.0
-        return (d * g,)
+        d = np.exp(lv - lse)
+        np.put_along_axis(d, labels, np.take_along_axis(d, labels, axis=-1) - 1.0, axis=-1)
+        return (d * (g / n),)
 
-    return Var(np.asarray(lse - lv[label]), (logits,), vjp)
+    return Var(np.asarray(losses.mean()), (logits,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -342,143 +381,113 @@ def cross_entropy_op(logits: Var, label: int) -> Var:
 # ---------------------------------------------------------------------------
 
 
+def _col2im(
+    dcols: Array, shape: tuple[int, ...], kh: int, kw: int, stride: int, padding: int
+) -> Array:
+    """Adjoint of :func:`primitives.im2col`: sum [..., n, kh*kw*C] patch rows into maps."""
+    *lead, h, w, c = shape
+    out_h = prim.conv_out_size(h, kh, stride, padding)
+    out_w = prim.conv_out_size(w, kw, stride, padding)
+    dcols = dcols.reshape(*lead, out_h, out_w, kh, kw, c)
+    dpad = np.zeros((*lead, h + 2 * padding, w + 2 * padding, c))
+    span_h = stride * (out_h - 1) + 1
+    span_w = stride * (out_w - 1) + 1
+    for i in range(kh):
+        for j in range(kw):
+            dpad[..., i : i + span_h : stride, j : j + span_w : stride, :] += dcols[..., i, j, :]
+    return dpad[..., padding : padding + h, padding : padding + w, :]
+
+
 def conv2d_op(
     x: Var, kernel: Var, bias: Var | None, stride: int = 1, padding: int = 0
 ) -> Var:
-    xv = x.value
-    h, w, cin = xv.shape
-    kh, kw, _, cout = kernel.shape
-    cols, out_h, out_w = prim.im2col(xv, kh, kw, stride, padding)  # [n, kh*kw*cin]
-    out = cols @ kernel.value.reshape(kh * kw * cin, cout)
-    if bias is not None:
-        out = out + bias.value
-    rows_idx, cols_idx = prim._im2col_indices(h, w, kh, kw, stride, padding)
+    kh, kw, cin, cout = kernel.shape
+    out = prim.conv2d(x.value, kernel.value, None if bias is None else bias.value, stride, padding)
 
-    def vjp(g: Array) -> tuple[Array, Array, Array | None]:
-        gf = g.reshape(out_h * out_w, cout)
-        dkernel = (cols.T @ gf).reshape(kernel.shape)
-        dcols = (gf @ kernel.value.reshape(kh * kw * cin, cout).T).reshape(
-            out_h * out_w, kh * kw, cin
-        )
-        dpad = np.zeros((h + 2 * padding, w + 2 * padding, cin))
-        np.add.at(dpad, (rows_idx, cols_idx), dcols)
-        dx = dpad[padding : padding + h, padding : padding + w, :]
-        db = gf.sum(axis=0) if bias is not None else None
+    def vjp(g: Array) -> tuple[Array | None, Array | None, Array | None]:
+        gf = g.reshape(-1, cout)
+        dx = dkernel = db = None
+        if kernel.needs_grad:  # im2col is recomputed rather than kept on the tape
+            cols = prim.im2col(x.value, kh, kw, stride, padding)[0]
+            dkernel = (_rows(cols).T @ gf).reshape(kernel.shape)
+        if x.needs_grad:
+            dcols = gf @ kernel.value.reshape(kh * kw * cin, cout).T
+            dx = _col2im(dcols, x.shape, kh, kw, stride, padding)
+        if bias is not None and bias.needs_grad:
+            db = gf.sum(axis=0)
         return dx, dkernel, db
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    if bias is None:
-        return Var(out.reshape(out_h, out_w, cout), parents, lambda g: vjp(g)[:2])
-    return Var(out.reshape(out_h, out_w, cout), parents, vjp)
+    return Var(out, (x, kernel) if bias is None else (x, kernel, bias), vjp)
 
 
 def depthwise_conv_op(x: Var, kernel: Var, bias: Var | None = None) -> Var:
-    xv = x.value
-    h, w, c = xv.shape
-    kh, kw, _ = kernel.shape
+    kh, kw, c = kernel.shape
     pad = kh // 2
-    cols, out_h, out_w = prim.im2col(xv, kh, kw, 1, pad)
-    cols = cols.reshape(out_h * out_w, kh * kw, c)
-    kflat = kernel.value.reshape(kh * kw, c)
-    out = np.einsum("nkc,kc->nc", cols, kflat)
-    if bias is not None:
-        out = out + bias.value
-    rows_idx, cols_idx = prim._im2col_indices(h, w, kh, kw, 1, pad)
+    out = prim.depthwise_conv(x.value, kernel.value, None if bias is None else bias.value)
 
-    def vjp(g: Array) -> tuple[Array, Array, Array | None]:
-        gf = g.reshape(out_h * out_w, c)
-        dkernel = np.einsum("nkc,nc->kc", cols, gf).reshape(kernel.shape)
-        dcols = np.einsum("kc,nc->nkc", kflat, gf)
-        dpad = np.zeros((h + 2 * pad, w + 2 * pad, c))
-        np.add.at(dpad, (rows_idx, cols_idx), dcols)
-        dx = dpad[pad : pad + h, pad : pad + w, :]
-        db = gf.sum(axis=0) if bias is not None else None
+    def vjp(g: Array) -> tuple[Array | None, Array | None, Array | None]:
+        gf = g.reshape(-1, c)  # every output position of every map
+        dx = dkernel = db = None
+        if kernel.needs_grad:
+            cols = prim.im2col(x.value, kh, kw, 1, pad)[0].reshape(-1, kh * kw, c)
+            dkernel = np.einsum("nkc,nc->kc", cols, gf).reshape(kernel.shape)
+        if x.needs_grad:
+            dcols = np.einsum("kc,nc->nkc", kernel.value.reshape(kh * kw, c), gf)
+            dx = _col2im(dcols, x.shape, kh, kw, 1, pad)
+        if bias is not None and bias.needs_grad:
+            db = gf.sum(axis=0)
         return dx, dkernel, db
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    if bias is None:
-        return Var(out.reshape(out_h, out_w, c), parents, lambda g: vjp(g)[:2])
-    return Var(out.reshape(out_h, out_w, c), parents, vjp)
+    return Var(out, (x, kernel) if bias is None else (x, kernel, bias), vjp)
+
+
+def _resize_matrix(n_out: int, n_in: int) -> Array:
+    """[n_out, n_in] weights of the 1-D lerp that ``bilinear_resize`` applies per axis."""
+    lo, hi, t = prim.lerp_taps(n_out, n_in)
+    m = np.zeros((n_out, n_in))
+    rows = np.arange(n_out)
+    np.add.at(m, (rows, lo), 1.0 - t)
+    np.add.at(m, (rows, hi), t)
+    return m
 
 
 def bilinear_resize_op(img: Var, out_h: int, out_w: int) -> Var:
-    iv = img.value
-    h, w, c = iv.shape
-    out = prim.bilinear_resize(iv, out_h, out_w)
-    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
-    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
-    y0 = np.floor(ys)
-    x0 = np.floor(xs)
-    ty = (ys - y0)[:, None]
-    tx = (xs - x0)[None, :]
-    y0c = np.clip(y0, 0, h - 1).astype(np.int64)[:, None]
-    y1c = np.clip(y0 + 1, 0, h - 1).astype(np.int64)[:, None]
-    x0c = np.clip(x0, 0, w - 1).astype(np.int64)[None, :]
-    x1c = np.clip(x0 + 1, 0, w - 1).astype(np.int64)[None, :]
-
     def vjp(g: Array) -> tuple[Array]:
-        dimg = np.zeros_like(iv)
-        w00 = ((1 - ty) * (1 - tx))[..., None] * g
-        w01 = ((1 - ty) * tx)[..., None] * g
-        w10 = (ty * (1 - tx))[..., None] * g
-        w11 = (ty * tx)[..., None] * g
-        yb0 = np.broadcast_to(y0c, (out_h, out_w))
-        yb1 = np.broadcast_to(y1c, (out_h, out_w))
-        xb0 = np.broadcast_to(x0c, (out_h, out_w))
-        xb1 = np.broadcast_to(x1c, (out_h, out_w))
-        np.add.at(dimg, (yb0, xb0), w00)
-        np.add.at(dimg, (yb0, xb1), w01)
-        np.add.at(dimg, (yb1, xb0), w10)
-        np.add.at(dimg, (yb1, xb1), w11)
-        return (dimg,)
+        # The resize is separable: out = Ry @ img @ Rx^T per channel.
+        *lead, h, w, c = img.shape
+        ry = _resize_matrix(out_h, h)
+        rx = _resize_matrix(out_w, w)
+        rows = ry.T @ g.reshape(*lead, out_h, out_w * c)  # [..., H, out_w*C]
+        return (rx.T @ rows.reshape(*lead, h, out_w, c),)
 
-    return Var(out, (img,), vjp)
+    return Var(prim.bilinear_resize(img.value, out_h, out_w), (img,), vjp)
 
 
 def bilinear_sample_op(img: Var, points: Var) -> Var:
-    """Differentiable zero-padded sampling; grads flow to map and coords."""
-    iv = img.value
-    pv = points.value
-    h, w, c = iv.shape
-    out = prim.bilinear_sample(iv, pv)
-    xp = pv[:, 0] * w - 0.5
-    yp = pv[:, 1] * h - 0.5
-    x0 = np.floor(xp).astype(np.int64)
-    y0 = np.floor(yp).astype(np.int64)
-    tx = (xp - np.floor(xp))[:, None]
-    ty = (yp - np.floor(yp))[:, None]
+    """Differentiable zero-padded sampling; grads flow to maps and coords.
 
-    corners = []
-    for dy in (0, 1):
-        for dx in (0, 1):
-            yi = y0 + dy
-            xi = x0 + dx
-            inside = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-            vals = np.zeros((pv.shape[0], c))
-            if np.any(inside):
-                vals[inside] = iv[yi[inside], xi[inside]]
-            corners.append((yi, xi, inside, vals))
-    (v00_y, v00_x, m00, v00), (v01_y, v01_x, m01, v01) = corners[0], corners[1]
-    (v10_y, v10_x, m10, v10), (v11_y, v11_x, m11, v11) = corners[2], corners[3]
-    weights = [
-        (1 - tx) * (1 - ty),
-        tx * (1 - ty),
-        (1 - tx) * ty,
-        tx * ty,
-    ]
+    img: [..., H, W, C], points: [..., N, 2] -> [..., N, C]. The corner taps
+    are recomputed in the vjp rather than kept on the tape.
+    """
 
-    def vjp(g: Array) -> tuple[Array, Array]:
-        dimg = np.zeros_like(iv)
-        for (yi, xi, inside, _), wgt in zip(corners, weights):
-            contrib = wgt * g
-            if np.any(inside):
-                np.add.at(dimg, (yi[inside], xi[inside]), contrib[inside])
-        # d out / d tx and d out / d ty with out-of-bounds values already zero
-        d_dtx = (v01 - v00) * (1 - ty) + (v11 - v10) * ty
-        d_dty = (v10 - v00) * (1 - tx) + (v11 - v01) * tx
-        dpts = np.empty_like(pv)
-        dpts[:, 0] = (g * d_dtx).sum(axis=1) * w
-        dpts[:, 1] = (g * d_dty).sum(axis=1) * h
+    def vjp(g: Array) -> tuple[Array | None, Array | None]:
+        iv, pv = img.value, points.value
+        h, w, c = iv.shape[-3:]
+        corners, tx, ty = prim.bilinear_taps(iv.shape, pv)
+        weights = ((1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty)
+        dimg = dpts = None
+        if img.needs_grad:
+            drows = np.zeros((iv.size // c + 1, c))
+            for idx, wgt in zip(corners, weights):
+                np.add.at(drows, idx.reshape(-1), _rows(g * wgt[..., None]))
+            dimg = drows[:-1].reshape(iv.shape)
+        if points.needs_grad:
+            # d out / d tx and d out / d ty, with out-of-bounds corners zero
+            rows = prim.padded_rows(iv)
+            s00, s01, s10, s11 = (np.einsum("...c,...c->...", g, rows[idx]) for idx in corners)
+            dpts = np.empty_like(pv)
+            dpts[..., 0] = ((s01 - s00) * (1 - ty) + (s11 - s10) * ty) * w
+            dpts[..., 1] = ((s10 - s00) * (1 - tx) + (s11 - s01) * tx) * h
         return dimg, dpts
 
-    return Var(out, (img, points), vjp)
+    return Var(prim.bilinear_sample(img.value, points.value), (img, points), vjp)

@@ -30,7 +30,7 @@ Params = dict[str, Var]
 class BranchState:
     """Tokens of one branch mid-forward, plus their grid geometry."""
 
-    tokens: Var  # [grid_h * grid_w, dim]
+    tokens: Var  # [..., grid_h * grid_w, dim]
     grid_h: int
     grid_w: int
     dim: int
@@ -56,13 +56,13 @@ class PatchEmbed:
     def forward(self, P: Params, image: Var) -> tuple[Var, int, int]:
         grid = ad.conv2d_op(
             image, P[f"{self.prefix}.kernel"], P[f"{self.prefix}.bias"], stride=self.patch
-        )  # [gh, gw, D]
-        gh, gw, _ = grid.shape
+        )  # [..., gh, gw, D]
+        gh, gw = grid.shape[-3:-1]
         pos = P[f"{self.prefix}.pos"]
         if pos.shape[:2] != (gh, gw):
             pos = ad.bilinear_resize_op(pos, gh, gw)
         grid = ad.add(grid, pos)
-        return ad.reshape(grid, (gh * gw, self.dim)), gh, gw
+        return ad.reshape(grid, grid.shape[:-3] + (gh * gw, self.dim)), gh, gw
 
 
 class ConvStem:
@@ -84,16 +84,15 @@ class ConvStem:
         grid = ad.conv2d_op(
             image, P[f"{self.prefix}.kernel"], P[f"{self.prefix}.bias"], stride=self.patch
         )
-        gh, gw, _ = grid.shape
+        gh, gw = grid.shape[-3:-1]
         grid = ad.layer_norm_op(grid, P[f"{self.prefix}.ln_g"], P[f"{self.prefix}.ln_b"])
-        return ad.reshape(grid, (gh * gw, self.dim)), gh, gw
+        return ad.reshape(grid, grid.shape[:-3] + (gh * gw, self.dim)), gh, gw
 
 
 def _attend(q: Var, k: Var, v: Var, head_dim: int) -> Var:
     """Scaled dot-product over the last two axes: [..., N, hd] -> [..., N, hd]."""
     q = ad.scale(q, 1.0 / math.sqrt(head_dim))
-    scores = ad.matmul(q, ad.transpose(k, tuple(range(k.value.ndim - 2)) + (-1, -2)))
-    weights = ad.softmax_op(scores)
+    weights = ad.softmax_op(ad.matmul(q, ad.swapaxes(k, -1, -2)))
     return ad.matmul(weights, v)
 
 
@@ -123,56 +122,51 @@ class TransformerBlock:
         ps.declare(f"{pre}.mlp2_w", (h, d), "trunc_normal")
         ps.declare(f"{pre}.mlp2_b", (d,), "zeros")
 
-    def _global_attention(self, P: Params, x: Var) -> Var:
-        n, d = x.shape
-        qkv = ad.linear_op(x, P[f"{self.prefix}.qkv_w"], P[f"{self.prefix}.qkv_b"])  # [N, 3D]
-        qkv = ad.reshape(qkv, (n, 3, self.heads, self.head_dim))
-        qkv = ad.transpose(qkv, (1, 2, 0, 3))  # [3, heads, N, hd]
-        q = ad.take_index(qkv, 0, 0)
-        k = ad.take_index(qkv, 1, 0)
-        v = ad.take_index(qkv, 2, 0)
-        out = _attend(q, k, v, self.head_dim)  # [heads, N, hd]
-        out = ad.reshape(ad.transpose(out, (1, 0, 2)), (n, d))
-        return ad.linear_op(out, P[f"{self.prefix}.proj_w"], P[f"{self.prefix}.proj_b"])
+    def _mix(self, P: Params, x: Var) -> Var:
+        """Multi-head self-attention over the token axis, before the output projection.
 
-    def _windowed_attention(self, P: Params, x: Var, gh: int, gw: int) -> Var:
+        x: [..., T, D] -> [..., T, D]; every leading index attends on its own.
+        """
+        lead, (t, d) = x.shape[:-2], x.shape[-2:]
+        nd = len(lead)
+        qkv = ad.linear_op(x, P[f"{self.prefix}.qkv_w"], P[f"{self.prefix}.qkv_b"])
+        qkv = ad.reshape(qkv, lead + (t, 3, self.heads, self.head_dim))
+        # [..., T, 3, heads, hd] -> [..., 3, heads, T, hd]
+        qkv = ad.transpose(qkv, tuple(range(nd)) + (nd + 1, nd + 2, nd, nd + 3))
+        q, k, v = (ad.take_index(qkv, i, nd) for i in range(3))
+        out = _attend(q, k, v, self.head_dim)  # [..., heads, T, hd]
+        return ad.reshape(ad.swapaxes(out, -2, -3), lead + (t, d))
+
+    def _windowed_mix(self, P: Params, x: Var, gh: int, gw: int) -> Var:
         side = self.window_side
-        n, d = x.shape
-        grid = ad.reshape(x, (gh, gw, d))
+        lead, (n, d) = x.shape[:-2], x.shape[-2:]
+        nd = len(lead)
+        grid = ad.reshape(x, lead + (gh, gw, d))
         pad_h = (-gh) % side
         pad_w = (-gw) % side
         if pad_h or pad_w:
             grid = ad.pad_grid(grid, pad_h, pad_w)
         hp, wp = gh + pad_h, gw + pad_w
         nh, nw = hp // side, wp // side
-        win = ad.reshape(grid, (nh, side, nw, side, d))
-        win = ad.transpose(win, (0, 2, 1, 3, 4))  # [nh, nw, side, side, D]
-        tokens = ad.reshape(win, (nh * nw * side * side, d))
-        qkv = ad.linear_op(tokens, P[f"{self.prefix}.qkv_w"], P[f"{self.prefix}.qkv_b"])
-        t = side * side
-        qkv = ad.reshape(qkv, (nh * nw, t, 3, self.heads, self.head_dim))
-        qkv = ad.transpose(qkv, (2, 0, 3, 1, 4))  # [3, nW, heads, T, hd]
-        q = ad.take_index(qkv, 0, 0)
-        k = ad.take_index(qkv, 1, 0)
-        v = ad.take_index(qkv, 2, 0)
-        out = _attend(q, k, v, self.head_dim)  # [nW, heads, T, hd]
-        out = ad.transpose(out, (0, 2, 1, 3))  # [nW, T, heads, hd]
-        out = ad.reshape(out, (nh, nw, side, side, d))
-        out = ad.transpose(out, (0, 2, 1, 3, 4))  # [nh, side, nw, side, D]
-        out = ad.reshape(out, (hp, wp, d))
+        # [..., nh, side, nw, side, D] <-> [..., nh, nw, side, side, D]; self-inverse
+        perm = tuple(range(nd)) + (nd, nd + 2, nd + 1, nd + 3, nd + 4)
+        win = ad.transpose(ad.reshape(grid, lead + (nh, side, nw, side, d)), perm)
+        out = self._mix(P, ad.reshape(win, lead + (nh * nw, side * side, d)))
+        out = ad.transpose(ad.reshape(out, lead + (nh, nw, side, side, d)), perm)
+        out = ad.reshape(out, lead + (hp, wp, d))
         if pad_h or pad_w:
             out = ad.crop_grid(out, gh, gw)
-        out = ad.reshape(out, (n, d))
-        return ad.linear_op(out, P[f"{self.prefix}.proj_w"], P[f"{self.prefix}.proj_b"])
+        return ad.reshape(out, lead + (n, d))
 
     def forward(self, P: Params, state: BranchState) -> BranchState:
         pre = self.prefix
         x = state.tokens
         h = ad.layer_norm_op(x, P[f"{pre}.ln1_g"], P[f"{pre}.ln1_b"])
         if self.windowed:
-            attn = self._windowed_attention(P, h, state.grid_h, state.grid_w)
+            attn = self._windowed_mix(P, h, state.grid_h, state.grid_w)
         else:
-            attn = self._global_attention(P, h)
+            attn = self._mix(P, h)
+        attn = ad.linear_op(attn, P[f"{pre}.proj_w"], P[f"{pre}.proj_b"])
         x = ad.add(x, attn)
         m = ad.layer_norm_op(x, P[f"{pre}.ln2_g"], P[f"{pre}.ln2_b"])
         m = ad.linear_op(m, P[f"{pre}.mlp1_w"], P[f"{pre}.mlp1_b"])
@@ -210,14 +204,15 @@ class ConvBlock:
         pre = self.prefix
         gh, gw, d = state.grid_h, state.grid_w, state.dim
         x = state.tokens
-        grid = ad.reshape(x, (gh, gw, d))
+        lead = x.shape[:-2]
+        grid = ad.reshape(x, lead + (gh, gw, d))
         y = ad.depthwise_conv_op(grid, P[f"{pre}.dw_k"], P[f"{pre}.dw_b"])
         y = ad.layer_norm_op(y, P[f"{pre}.ln_g"], P[f"{pre}.ln_b"])
         y = ad.linear_op(y, P[f"{pre}.pw1_w"], P[f"{pre}.pw1_b"])
         y = ad.gelu_op(y)
         y = ad.linear_op(y, P[f"{pre}.pw2_w"], P[f"{pre}.pw2_b"])
         y = ad.mul(y, P[f"{pre}.scale"])
-        out = ad.add(x, ad.reshape(y, (gh * gw, d)))
+        out = ad.add(x, ad.reshape(y, lead + (gh * gw, d)))
         return BranchState(out, gh, gw, d, state.branch_id)
 
 
@@ -243,8 +238,10 @@ class Branch:
             block.declare(ps)
 
     def embed_forward(self, P: Params, image: Var) -> BranchState:
-        if image.shape[0] != self.spec.resolution or image.shape[1] != self.spec.resolution:
-            image = ad.bilinear_resize_op(image, self.spec.resolution, self.spec.resolution)
+        """Tokens of ``image`` [..., H, W, 3], resized to this branch's resolution."""
+        res = self.spec.resolution
+        if image.shape[-3:-1] != (res, res):
+            image = ad.bilinear_resize_op(image, res, res)
         tokens, gh, gw = self.embed.forward(P, image)
         return BranchState(tokens, gh, gw, self.spec.dim, self.index)
 

@@ -23,6 +23,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -101,9 +102,15 @@ def parse_sweep_spec(text: str) -> SweepSpec:
         if key == "base":
             base = resolve_base(raw.strip())
         elif key == "budget_gflops":
-            budget = float(raw)
+            try:
+                budget = float(raw)
+            except ValueError:
+                raise ParseError(f"sweep: budget_gflops must be a number, got {raw!r}") from None
         elif key.startswith("resolutions."):
-            per_branch[int(key.split(".", 1)[1])] = _parse_candidates(raw, f"sweep: {key}")
+            index = key.split(".", 1)[1]
+            if not index.isdigit():
+                raise ParseError(f"sweep: {key!r} must name a branch as resolutions.<N>")
+            per_branch[int(index)] = _parse_candidates(raw, f"sweep: {key}")
         else:
             raise ParseError(f"sweep: unknown key {key!r} (expected "
                              f"{sorted(known)} or resolutions.<branch>)")
@@ -178,12 +185,20 @@ def sweep(spec: SweepSpec, budget_gflops: float | None = None) -> list[Row]:
 # ---------------------------------------------------------------------------
 
 
-def _column(rows: list[Row], col: str) -> list[float]:
+class NaNCellError(ValueError):
+    """A NaN cost or quality cell: no ordering puts it on or off a Pareto front."""
+
+
+def numeric_column(rows: list[Row], col: str) -> list[float]:
+    """One column of a table as floats; a missing or NaN cell names its row."""
     values = []
     for i, row in enumerate(rows):
         if col not in row:
             raise ValueError(f"column {col!r} missing from table row {i}")
-        values.append(float(row[col]))  # type: ignore[arg-type]
+        value = float(row[col])  # type: ignore[arg-type]
+        if math.isnan(value):
+            raise NaNCellError(f"column {col!r} is NaN in table row {i}")
+        values.append(value)
     return values
 
 
@@ -194,8 +209,8 @@ def pareto_front(rows: list[Row], cost_col: str, quality_col: str) -> list[Row]:
     a group's quality maximum must beat everything strictly cheaper, and
     only rows achieving the group maximum survive.
     """
-    cost = _column(rows, cost_col)
-    quality = _column(rows, quality_col)
+    cost = numeric_column(rows, cost_col)
+    quality = numeric_column(rows, quality_col)
     order = sorted(range(len(rows)), key=lambda i: cost[i])
     kept: list[int] = []
     best_cheaper = float("-inf")

@@ -428,9 +428,15 @@ def high_freq_fraction(fmap: FeatureMap, cutoff: float = 0.25) -> float:
 
 
 def pareto_oracle(rows: list[dict], cost_col: str, quality_col: str) -> list[dict]:
-    """Quadratic dominance filter; deliberately separate from the fast path."""
-    cost = [float(r[cost_col]) for r in rows]
-    quality = [float(r[quality_col]) for r in rows]
+    """Quadratic dominance filter; deliberately separate from the fast path.
+
+    Cells are read as the fast path reads them, so a NaN raises the same
+    ``NaNCellError``.
+    """
+    from .explorer import numeric_column
+
+    cost = numeric_column(rows, cost_col)
+    quality = numeric_column(rows, quality_col)
     kept = []
     for i in range(len(rows)):
         dominated = False

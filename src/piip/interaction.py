@@ -66,34 +66,35 @@ class DeformableCrossAttention:
         v_grid: tuple[int, int],
     ) -> Var:
         pre = self.prefix
-        nq = query.shape[0]
+        lead, nq = query.shape[:-2], query.shape[-2]
+        nd = len(lead)
         gvh, gvw = v_grid
         m, k, hd = self.heads, self.points, self.head_dim
 
-        vmap = ad.linear_op(value, P[f"{pre}.val_w"], P[f"{pre}.val_b"])  # [Nv, vd]
-        vmap = ad.reshape(vmap, (gvh, gvw, self.value_dim))
+        # Heads become a leading axis of the value maps and the sampling
+        # points, so one sampling call serves every head.
+        vmap = ad.linear_op(value, P[f"{pre}.val_w"], P[f"{pre}.val_b"])  # [..., Nv, vd]
+        vmap = ad.reshape(vmap, lead + (gvh, gvw, m, hd))
+        vmap = ad.transpose(vmap, tuple(range(nd)) + (nd + 2, nd, nd + 1, nd + 3))  # heads first
 
-        off = ad.linear_op(query, P[f"{pre}.off_w"], P[f"{pre}.off_b"])  # [Nq, m*k*2]
-        off = ad.reshape(off, (nq, m, k, 2))
-        wts = ad.linear_op(query, P[f"{pre}.wt_w"], P[f"{pre}.wt_b"])  # [Nq, m*k]
-        wts = ad.softmax_op(ad.reshape(wts, (nq, m, k)))  # softmax over K per head
+        off = ad.linear_op(query, P[f"{pre}.off_w"], P[f"{pre}.off_b"])  # [..., Nq, m*k*2]
+        off = ad.swapaxes(ad.reshape(off, lead + (nq, m, k, 2)), -4, -3)  # [..., m, Nq, k, 2]
+        wts = ad.linear_op(query, P[f"{pre}.wt_w"], P[f"{pre}.wt_b"])  # [..., Nq, m*k]
+        wts = ad.softmax_op(ad.reshape(wts, lead + (nq, m, k)))  # softmax over K per head
+        wts = ad.swapaxes(wts, -3, -2)  # [..., m, Nq, k]
 
         # Sampling locations: query-grid token centers plus offsets measured in
         # value-grid cells, all in normalized [0, 1]^2 coordinates.
         ref = reference_points(*q_grid)  # [Nq, 2]
-        ref_b = ad.as_var(ref.reshape(nq, 1, 1, 2))
+        ref_b = ad.as_var(ref.reshape(nq, 1, 2))
         inv = ad.as_var(np.array([1.0 / gvw, 1.0 / gvh]))
-        locs = ad.add(ref_b, ad.mul(off, inv))  # [Nq, m, k, 2]
+        locs = ad.add(ref_b, ad.mul(off, inv))  # [..., m, Nq, k, 2]
 
-        head_outs: list[Var] = []
-        for hi in range(m):
-            map_h = ad.slice_last(vmap, hi * hd, (hi + 1) * hd)  # [gvh, gvw, hd]
-            pts = ad.reshape(ad.take_index(locs, hi, 1), (nq * k, 2))
-            sampled = ad.bilinear_sample_op(map_h, pts)  # [Nq*k, hd]
-            sampled = ad.reshape(sampled, (nq, k, hd))
-            w_h = ad.reshape(ad.take_index(wts, hi, 1), (nq, k, 1))
-            head_outs.append(ad.sum_op(ad.mul(sampled, w_h), axis=1))  # [Nq, hd]
-        merged = ad.concat_last(head_outs)  # [Nq, vd]
+        pts = ad.reshape(locs, lead + (m, nq * k, 2))
+        sampled = ad.bilinear_sample_op(vmap, pts)  # [..., m, Nq*k, hd]
+        sampled = ad.reshape(sampled, lead + (m, nq, k, hd))
+        heads = ad.weighted_sum_op(sampled, wts)  # [..., m, Nq, hd]
+        merged = ad.reshape(ad.swapaxes(heads, -3, -2), lead + (nq, self.value_dim))
         return ad.linear_op(merged, P[f"{pre}.out_w"], P[f"{pre}.out_b"])
 
 
@@ -122,17 +123,17 @@ class RegularCrossAttention:
         v_grid: tuple[int, int],
     ) -> Var:
         pre = self.prefix
-        nq, nv = query.shape[0], value.shape[0]
+        lead, nq, nv = query.shape[:-2], query.shape[-2], value.shape[-2]
         m, hd = self.heads, self.head_dim
-        q = ad.linear_op(query, P[f"{pre}.q_w"], P[f"{pre}.q_b"])
-        k = ad.linear_op(value, P[f"{pre}.k_w"], P[f"{pre}.k_b"])
-        v = ad.linear_op(value, P[f"{pre}.v_w"], P[f"{pre}.v_b"])
-        q = ad.transpose(ad.reshape(q, (nq, m, hd)), (1, 0, 2))  # [m, Nq, hd]
-        k = ad.transpose(ad.reshape(k, (nv, m, hd)), (1, 0, 2))
-        v = ad.transpose(ad.reshape(v, (nv, m, hd)), (1, 0, 2))
-        scores = ad.matmul(ad.scale(q, 1.0 / math.sqrt(hd)), ad.transpose(k, (0, 2, 1)))
-        out = ad.matmul(ad.softmax_op(scores), v)  # [m, Nq, hd]
-        out = ad.reshape(ad.transpose(out, (1, 0, 2)), (nq, self.dim))
+
+        def heads(x: Var, n: int, name: str) -> Var:  # [..., n, D] -> [..., m, n, hd]
+            x = ad.linear_op(x, P[f"{pre}.{name}_w"], P[f"{pre}.{name}_b"])
+            return ad.swapaxes(ad.reshape(x, lead + (n, m, hd)), -3, -2)
+
+        q, k, v = heads(query, nq, "q"), heads(value, nv, "k"), heads(value, nv, "v")
+        scores = ad.matmul(ad.scale(q, 1.0 / math.sqrt(hd)), ad.swapaxes(k, -1, -2))
+        out = ad.matmul(ad.softmax_op(scores), v)  # [..., m, Nq, hd]
+        out = ad.reshape(ad.swapaxes(out, -3, -2), lead + (nq, self.dim))
         return ad.linear_op(out, P[f"{pre}.out_w"], P[f"{pre}.out_b"])
 
 

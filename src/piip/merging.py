@@ -70,12 +70,13 @@ class MergeModule:
         return ad.group_norm_op(y, groups, P[f"{pre}.gn_g"], P[f"{pre}.gn_b"])
 
     def forward(self, P: Params, states: list[BranchState]) -> Var:
-        """Merged map on the largest grid at the widest branch's width."""
+        """Merged [..., H, W, D] map on the largest grid at the widest branch's width."""
         th, tw = self.target_grid
         total: Var | None = None
         for state in states:
             j = state.branch_id
-            grid = ad.reshape(state.tokens, (state.grid_h, state.grid_w, state.dim))
+            lead = state.tokens.shape[:-2]
+            grid = ad.reshape(state.tokens, lead + (state.grid_h, state.grid_w, state.dim))
             proj = self._project(P, j, grid)
             if (state.grid_h, state.grid_w) != (th, tw):
                 proj = ad.bilinear_resize_op(proj, th, tw)
@@ -106,11 +107,9 @@ class ClassificationHead:
 
     def branch_logits(self, P: Params, state: BranchState) -> Var:
         pre = f"head{state.branch_id}"
-        pooled = ad.mean_op(state.tokens, axis=0)  # [D]
+        pooled = ad.mean_op(state.tokens, axis=-2)  # [..., D]
         pooled = ad.layer_norm_op(pooled, P[f"{pre}.ln_g"], P[f"{pre}.ln_b"])
-        pooled = ad.reshape(pooled, (1, state.dim))
-        logits = ad.linear_op(pooled, P[f"{pre}.w"], P[f"{pre}.b"])
-        return ad.reshape(logits, (self.classes,))
+        return ad.linear_op(pooled, P[f"{pre}.w"], P[f"{pre}.b"])  # [..., classes]
 
     def forward(self, P: Params, states: list[BranchState]) -> tuple[list[Var], Var]:
         per_branch = [self.branch_logits(P, s) for s in states]

@@ -2,9 +2,10 @@
 
 The model owns a flat parameter registry (name -> float64 array, every
 learnable tensor exactly once). A forward pass takes one image at the
-largest branch resolution, resizes it per branch, runs the shared-depth
-block stacks with interaction points spliced between segments, and finishes
-with either a dense merged map or averaged per-branch classification logits.
+largest branch resolution, or a stack of them, resizes it per branch, runs
+the shared-depth block stacks with interaction points spliced between
+segments, and finishes with either a dense merged map or averaged
+per-branch classification logits.
 
 Gradients come from the reverse-mode tape in :mod:`piip.autodiff`; the
 finite-difference harness validates them end to end.
@@ -101,19 +102,23 @@ class PiipModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _check_image(self, image: np.ndarray) -> np.ndarray:
+    def _check_image(self, image: np.ndarray, stacked: bool = False) -> np.ndarray:
         image = np.asarray(image, dtype=np.float64)
         r = self.input_resolution
-        if image.shape != (r, r, 3):
+        if image.shape[-3:] != (r, r, 3) or image.ndim not in ((3, 4) if stacked else (3,)):
             raise ValueError(
                 f"expected input of shape ({r}, {r}, 3) "
-                f"(largest branch resolution), got {image.shape}"
+                f"(largest branch resolution){' or a stack of them' if stacked else ''}, "
+                f"got {image.shape}"
             )
         return image
 
     def graph_forward(self, image: np.ndarray, P: Params) -> ForwardGraph:
-        image = self._check_image(image)
-        img_var = ad.as_var(image)
+        """Forward of one image [R, R, 3] or a batch [B, R, R, 3] on parameters ``P``.
+
+        Every output carries the batch axis when the input does.
+        """
+        img_var = ad.as_var(self._check_image(image, stacked=True))
         depth = self.config.branches[0].depth
         states = [branch.embed_forward(P, img_var) for branch in self.branches]
         cursor = 0
@@ -138,7 +143,8 @@ class PiipModel:
         return ForwardGraph(states, merged, branch_logits, logits)
 
     def forward(self, image: np.ndarray) -> ForwardResult:
-        graph = self.graph_forward(image, self._wrap(needs_grad=False))
+        """Plain-array outputs for one [R, R, 3] image; no tape is kept."""
+        graph = self.graph_forward(self._check_image(image), self._wrap(needs_grad=False))
         return self._materialize_result(graph)
 
     def _materialize_result(self, graph: ForwardGraph) -> ForwardResult:
@@ -167,14 +173,9 @@ class PiipModel:
         from :mod:`piip.autodiff` ops.
         """
         P = self._wrap(needs_grad=True)
-        graph = self.graph_forward(image, P)
-        loss = loss_fn(graph)
+        loss = loss_fn(self.graph_forward(image, P))
         ad.backward(loss)
-        grads = {
-            name: (var.grad if var.grad is not None else np.zeros_like(var.value))
-            for name, var in P.items()
-        }
-        return float(loss.value), grads
+        return float(loss.value), _leaf_grads(P)
 
     def train_step(
         self,
@@ -182,31 +183,23 @@ class PiipModel:
         labels: np.ndarray,
         optimizer: "AdamW",
     ) -> tuple[float, float]:
-        """One optimizer update on a batch; returns (mean loss, accuracy)."""
+        """One optimizer update on a batch; returns (mean loss, accuracy).
+
+        The whole batch runs as one graph: one forward over the [B, R, R, 3]
+        stack, one mean cross-entropy and one backward.
+        """
         if self.head is None:
             raise RuntimeError("train_step needs a classification-mode model")
-        n = len(images)
-        total: dict[str, np.ndarray] = {
-            name: np.zeros_like(value) for name, value in self.params.items()
-        }
-        loss_sum = 0.0
-        correct = 0
-        for image, label in zip(images, labels):
-            P = self._wrap(needs_grad=True)
-            graph = self.graph_forward(image, P)
-            assert graph.logits is not None
-            loss = ad.cross_entropy_op(graph.logits, int(label))
-            ad.backward(loss)
-            loss_sum += float(loss.value)
-            if int(np.argmax(graph.logits.value)) == int(label):
-                correct += 1
-            for name, var in P.items():
-                if var.grad is not None:
-                    total[name] += var.grad
-        grads = {name: g / n for name, g in total.items()}
+        labels = np.asarray(labels, dtype=np.int64)
+        P = self._wrap(needs_grad=True)
+        logits = self.graph_forward(images, P).logits
+        assert logits is not None
+        loss = ad.cross_entropy_op(logits, labels)
+        ad.backward(loss)
         if optimizer.lr != 0.0:
-            optimizer.step(self.params, grads)
-        return loss_sum / n, correct / n
+            optimizer.step(self.params, _leaf_grads(P))
+        accuracy = float(np.mean(np.argmax(logits.value, axis=-1) == labels))
+        return float(loss.value), accuracy
 
     # -- serialization -----------------------------------------------------
 
@@ -232,6 +225,14 @@ class PiipModel:
                     raise ValueError(f"weight {name!r} has shape {arr.shape}, expected {want}")
                 loaded[name] = arr
         self.params = loaded
+
+
+def _leaf_grads(P: Params) -> dict[str, np.ndarray]:
+    """Each parameter's gradient after a backward, zeros where none reached it."""
+    return {
+        name: (var.grad if var.grad is not None else np.zeros_like(var.value))
+        for name, var in P.items()
+    }
 
 
 class AdamW:

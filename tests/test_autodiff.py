@@ -69,19 +69,29 @@ def test_matmul_2d_and_batched():
     a = RNG.standard_normal((2, 3, 4))
     b = RNG.standard_normal((2, 4, 2))
     assert fd_max_err(lambda v: scalarize(ad.matmul(v[0], v[1])), [a, b]) <= TOL
+    # a shared 2-D weight under leading axes, with the bias fused in
+    rng = np.random.default_rng(8)  # leaves the module stream of later tests as it was
+    b = rng.standard_normal((4, 2))
+    c = rng.standard_normal(2)
+    assert fd_max_err(lambda v: scalarize(ad.matmul(v[0], v[1], v[2])), [a, b, c]) <= TOL
+
+
+def test_swapaxes():
+    a = np.random.default_rng(9).standard_normal((2, 3, 4))
+    assert fd_max_err(lambda v: scalarize(ad.swapaxes(v[0], -1, -3)), [a]) <= TOL
+
+
+def test_weighted_sum_op():
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((2, 3, 4, 5))
+    w = rng.standard_normal((2, 3, 4))
+    assert fd_max_err(lambda v: scalarize(ad.weighted_sum_op(v[0], v[1])), [x, w]) <= TOL
 
 
 def test_indexing_ops():
     a = RNG.standard_normal((4, 5))
     assert fd_max_err(lambda v: scalarize(ad.take_index(v[0], 2, 0)), [a]) <= TOL
     assert fd_max_err(lambda v: scalarize(ad.take_index(v[0], 1, 1)), [a]) <= TOL
-    assert fd_max_err(lambda v: scalarize(ad.slice_last(v[0], 1, 4)), [a]) <= TOL
-
-
-def test_concat_last():
-    a = RNG.standard_normal((3, 2))
-    b = RNG.standard_normal((3, 4))
-    assert fd_max_err(lambda v: scalarize(ad.concat_last([v[0], v[1]])), [a, b]) <= TOL
 
 
 def test_pad_and_crop_grid():
@@ -129,6 +139,12 @@ def test_linear_op():
 def test_cross_entropy_op():
     logits = RNG.standard_normal(7) * 3
     assert fd_max_err(lambda v: ad.cross_entropy_op(v[0], 4), [logits]) <= TOL
+    # a batch of logits gives the mean loss over its rows
+    batch = np.random.default_rng(11).standard_normal((3, 7)) * 3
+    labels = np.array([4, 0, 6])
+    assert fd_max_err(lambda v: ad.cross_entropy_op(v[0], labels), [batch]) <= TOL
+    rows = [float(ad.cross_entropy_op(ad.leaf(r), int(y)).value) for r, y in zip(batch, labels)]
+    assert abs(float(ad.cross_entropy_op(ad.leaf(batch), labels).value) - np.mean(rows)) <= 1e-15
     # probabilities sum to one => gradient sums to zero
     var = ad.leaf(logits, needs_grad=True)
     ad.backward(ad.cross_entropy_op(var, 0))
@@ -174,6 +190,24 @@ def test_backward_accumulates_through_diamond():
     y = ad.sum_op(ad.add(ad.mul(a, a), a))
     ad.backward(y)
     np.testing.assert_allclose(a.grad, 2 * a.value + 1, atol=1e-12)
+
+
+def test_backward_keeps_leaf_grads_and_output_values():
+    # the tape is consumed, but leaf gradients and every node's value survive
+    a = ad.leaf(np.array([1.5, -2.0]), needs_grad=True)
+    hidden = ad.mul(a, a)
+    out = ad.sum_op(hidden)
+    ad.backward(out)
+    np.testing.assert_allclose(a.grad, 2 * a.value)
+    np.testing.assert_allclose(hidden.value, a.value**2)
+    assert float(out.value) == 6.25
+    assert hidden.grad is None and hidden.parents == () and hidden.vjp is None
+
+
+def test_no_grad_nodes_keep_no_tape():
+    a = ad.leaf(np.ones(3))
+    out = ad.mul(a, a)
+    assert not out.needs_grad and out.parents == () and out.vjp is None
 
 
 def test_backward_requires_scalar_root():

@@ -52,6 +52,19 @@ def test_pareto_keeps_duplicate_optima():
     assert [r["config_id"] for r in front] == ["a", "b"]
 
 
+@pytest.mark.parametrize("column, row", [("flops", 1), ("acc", 0)])
+def test_pareto_nan_cells_raise_in_both_paths(column, row):
+    rows = [
+        {"config_id": "r0", "flops": 1.0, "acc": 0.3},
+        {"config_id": "r1", "flops": 2.0, "acc": 0.5},
+        {"config_id": "r2", "flops": 0.5, "acc": 0.4},
+    ]
+    rows[row][column] = float("nan")
+    for path in (explorer.pareto_front, harness.pareto_oracle):
+        with pytest.raises(explorer.NaNCellError, match=f"'{column}' is NaN in table row {row}"):
+            path(rows, "flops", "acc")
+
+
 def test_pareto_missing_column():
     rows = [{"flops": 1.0}]
     with pytest.raises(ValueError, match="'acc'"):
@@ -80,6 +93,11 @@ def test_parse_sweep_spec_errors():
         )
     with pytest.raises(ValidationError, match="patch_size"):
         explorer.parse_sweep_spec("[sweep]\nbase = piip-tiny-test\nresolutions.1 = 20\n")
+    with pytest.raises(ParseError, match="budget_gflops"):
+        explorer.parse_sweep_spec("[sweep]\nbase = piip-tiny-test\nbudget_gflops = abc\n")
+    for key in ("resolutions.x", "resolutions.", "resolutions.-1"):
+        with pytest.raises(ParseError, match="resolutions.<N>"):
+            explorer.parse_sweep_spec(f"[sweep]\nbase = piip-tiny-test\n{key} = 16\n")
 
 
 def test_sweep_drops_descending_combos():

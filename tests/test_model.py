@@ -1,11 +1,15 @@
 """Model-level checks: registry consistency, forward determinism, weights IO."""
 
 import dataclasses
+import re
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from piip import autodiff as ad
+from piip import merging
 from piip.config import PRESET_NAMES, preset
 from piip.costmodel import count_params
 from piip.model import AdamW, PiipModel
@@ -180,3 +184,41 @@ def test_adamw_decay_mask():
     assert not opt.decayed["branch1.block1.qkv_b"]
     assert not opt.decayed["branch1.block1.ln1_g"]
     assert not opt.decayed["merge.w"] if "merge.w" in opt.decayed else True
+
+
+def test_weights_doc_names_exist_in_registry():
+    text = (Path(__file__).resolve().parents[1] / "docs" / "weights-format.md").read_text()
+    pattern = r'[`"]((?:branch|interaction|head|merge)[\w.]*)[`"]'
+    names = {n.removesuffix(".npy") for n in re.findall(pattern, text)}
+    assert {"branch1.block1.qkv_w", "interaction1.pair1_2.to2.gamma"} <= names
+    tiny = set(PiipModel(TINY, materialize=False).param_spec.decls)
+    dense = set(PiipModel(preset("piip-b"), materialize=False).param_spec.decls)  # merge.*
+    assert [n for n in names if n not in (dense if n.startswith("merge.") else tiny)] == []
+
+
+def test_no_grad_forward_frees_intermediates_as_it_goes(monkeypatch):
+    # Layer-norm outputs of the blocks are dead by the time the heads run when
+    # no gradient is needed; with gradients the tape keeps them alive.
+    model = PiipModel(TINY)
+    refs = []
+    alive_at_head = []
+    layer_norm, head_forward = ad.layer_norm_op, merging.ClassificationHead.forward
+
+    def recording_layer_norm(*args, **kwargs):
+        out = layer_norm(*args, **kwargs)
+        refs.append(weakref.ref(out))
+        return out
+
+    def counting_head_forward(self, P, states):
+        alive_at_head.append(sum(r() is not None for r in refs))
+        return head_forward(self, P, states)
+
+    monkeypatch.setattr(ad, "layer_norm_op", recording_layer_norm)
+    monkeypatch.setattr(merging.ClassificationHead, "forward", counting_head_forward)
+    model.forward(tiny_image())
+    assert refs and alive_at_head == [0]
+    assert all(r() is None for r in refs)
+
+    refs.clear()
+    model.parameter_gradients(tiny_image(), lambda graph: ad.sum_op(graph.logits))
+    assert alive_at_head[1] == len(refs) - 3  # all but the three heads' own norms
