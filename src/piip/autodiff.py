@@ -280,17 +280,29 @@ def softmax_op(a: Var) -> Var:
 
     def vjp(g: Array) -> tuple[Array]:
         dot = np.sum(g * y, axis=-1, keepdims=True)
-        return (y * (g - dot),)
+        out = g - dot
+        out *= y
+        return (out,)
 
     return Var(y, (a,), vjp)
 
 
 def gelu_op(a: Var) -> Var:
     def vjp(g: Array) -> tuple[Array]:
+        # g * (cdf + x * pdf), one buffer each for the cdf and the pdf term
         x = a.value
-        cdf = 0.5 * (1.0 + erf(x * prim._INV_SQRT2))
-        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-        return (g * (cdf + x * pdf),)
+        cdf = x * prim._INV_SQRT2
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        pdf = x * x
+        pdf *= -0.5
+        np.exp(pdf, out=pdf)
+        pdf /= np.sqrt(2.0 * np.pi)
+        pdf *= x
+        cdf += pdf
+        cdf *= g
+        return (cdf,)
 
     return Var(prim.gelu(a.value), (a,), vjp)
 
@@ -313,17 +325,13 @@ def _norm_vjp(
 
 
 def layer_norm_op(x: Var, gain: Var, shift: Var, eps: float = 1e-6) -> Var:
-    # Forward arithmetic mirrors primitives.layer_norm exactly (same op order).
     xv = x.value
-    mu = xv.mean(axis=-1, keepdims=True)
-    var = np.mean((xv - mu) ** 2, axis=-1, keepdims=True)
-    s = np.sqrt(var + eps)
-    out = (xv - mu) / s
-    out *= gain.value
-    out += shift.value
+    out, mu, s = prim.standardize(xv, (-1,), eps)
+    prim.affine_in_place(out, gain.value, shift.value)
 
     def vjp(g: Array) -> tuple[Array | None, Array, Array]:
-        xhat = (x.value - mu) / s  # recomputed rather than kept on the tape
+        xhat = xv - mu  # recomputed rather than kept on the tape
+        xhat /= s
         dx = _norm_vjp(g, xhat, s, gain.value, xv.shape[-1], (-1,)) if x.needs_grad else None
         return dx, (_rows(g) * _rows(xhat)).sum(axis=0), _rows(g).sum(axis=0)
 
@@ -336,14 +344,12 @@ def group_norm_op(x: Var, groups: int, gain: Var, shift: Var, eps: float = 1e-6)
     h, w, c = xv.shape[-3:]
     gshape = xv.shape[:-1] + (groups, c // groups)
     red = prim.GROUP_AXES
-    gview = xv.reshape(gshape)
-    mu = gview.mean(axis=red, keepdims=True)
-    var = np.mean((gview - mu) ** 2, axis=red, keepdims=True)
-    s = np.sqrt(var + eps)
-    out = ((gview - mu) / s).reshape(xv.shape) * gain.value + shift.value
+    out, mu, s = prim.standardize(xv.reshape(gshape), red, eps)
+    out = prim.affine_in_place(out.reshape(xv.shape), gain.value, shift.value)
 
     def vjp(g: Array) -> tuple[Array | None, Array, Array]:
-        xhat = (x.value.reshape(gshape) - mu) / s
+        xhat = xv.reshape(gshape) - mu
+        xhat /= s
         dx = None
         if x.needs_grad:
             gain_g = gain.value.reshape(groups, c // groups)
@@ -466,28 +472,15 @@ def bilinear_resize_op(img: Var, out_h: int, out_w: int) -> Var:
 def bilinear_sample_op(img: Var, points: Var) -> Var:
     """Differentiable zero-padded sampling; grads flow to maps and coords.
 
-    img: [..., H, W, C], points: [..., N, 2] -> [..., N, C]. The corner taps
-    are recomputed in the vjp rather than kept on the tape.
+    img: [..., H, W, C], points: [..., N, 2] -> [..., N, C]. One sampling plan
+    serves the forward and, kept only while a gradient is needed, the vjp.
     """
+    iv, pv = img.value, points.value
+    plan = prim.sampling_plan(iv.shape, pv)
 
     def vjp(g: Array) -> tuple[Array | None, Array | None]:
-        iv, pv = img.value, points.value
-        h, w, c = iv.shape[-3:]
-        corners, tx, ty = prim.bilinear_taps(iv.shape, pv)
-        weights = ((1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty)
-        dimg = dpts = None
-        if img.needs_grad:
-            drows = np.zeros((iv.size // c + 1, c))
-            for idx, wgt in zip(corners, weights):
-                np.add.at(drows, idx.reshape(-1), _rows(g * wgt[..., None]))
-            dimg = drows[:-1].reshape(iv.shape)
-        if points.needs_grad:
-            # d out / d tx and d out / d ty, with out-of-bounds corners zero
-            rows = prim.padded_rows(iv)
-            s00, s01, s10, s11 = (np.einsum("...c,...c->...", g, rows[idx]) for idx in corners)
-            dpts = np.empty_like(pv)
-            dpts[..., 0] = ((s01 - s00) * (1 - ty) + (s11 - s10) * ty) * w
-            dpts[..., 1] = ((s10 - s00) * (1 - tx) + (s11 - s01) * tx) * h
+        dimg = plan.map_grad(g, iv.shape) if img.needs_grad else None
+        dpts = plan.point_grad(g, iv) if points.needs_grad else None
         return dimg, dpts
 
-    return Var(prim.bilinear_sample(img.value, points.value), (img, points), vjp)
+    return Var(plan.sample(iv, pv.shape), (img, points), vjp)

@@ -371,13 +371,22 @@ def train_toy(
     return model, metrics
 
 
+ACCURACY_BATCH = 64  # images per no-grad forward in train_accuracy
+
+
 def train_accuracy(model: PiipModel, images: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of ``images`` [B, R, R, 3] whose top logit is the label.
+
+    Runs no-grad forwards over stacks of ``ACCURACY_BATCH`` images.
+    """
+    if model.head is None:
+        raise ValueError("train_accuracy needs a classification-mode model")
+    P = model._wrap(needs_grad=False)
     correct = 0
-    for image, label in zip(images, labels):
-        result = model.forward(image)
-        assert result.logits is not None
-        if int(np.argmax(result.logits)) == int(label):
-            correct += 1
+    for start in range(0, len(images), ACCURACY_BATCH):
+        stop = start + ACCURACY_BATCH
+        logits = model.graph_forward(images[start:stop], P).logits
+        correct += int(np.sum(np.argmax(logits.value, axis=-1) == labels[start:stop]))
     return correct / len(images)
 
 

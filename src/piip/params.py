@@ -45,13 +45,17 @@ class ParamSpec:
 
 
 def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) with resampling outside +-2 std."""
-    out = rng.standard_normal(shape) * std
-    bad = np.abs(out) > 2.0 * std
-    while np.any(bad):
-        out[bad] = rng.standard_normal(int(bad.sum())) * std
-        bad = np.abs(out) > 2.0 * std
-    return out
+    """Normal(0, std) with resampling outside +-2 std.
+
+    Each round redraws only the values still rejected, in row-major order,
+    so the draws consumed from ``rng`` do not depend on how they are found.
+    """
+    out = rng.standard_normal(int(np.prod(shape))) * std
+    bad = np.flatnonzero(np.abs(out) > 2.0 * std)
+    while bad.size:
+        out[bad] = rng.standard_normal(bad.size) * std
+        bad = bad[np.abs(out[bad]) > 2.0 * std]
+    return out.reshape(shape)
 
 
 def allocate(spec: ParamSpec, seed: int) -> dict[str, np.ndarray]:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import sparse
 from scipy.special import erf
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -63,6 +64,32 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) ->
     return out
 
 
+def standardize(
+    x: np.ndarray, axes: tuple[int, ...], eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(x - mu) / s`` over ``axes`` with biased variance, in one new buffer.
+
+    Returns (xhat, mu, s), the statistics kept with their reduced axes.
+    """
+    mu = x.mean(axis=axes, keepdims=True)
+    out = x - mu
+    var = np.mean(out * out, axis=axes, keepdims=True)
+    s = np.sqrt(var + eps)
+    out /= s
+    return out, mu, s
+
+
+def affine_in_place(
+    out: np.ndarray, gain: np.ndarray | None, shift: np.ndarray | None
+) -> np.ndarray:
+    """``out * gain + shift`` in place; either factor may be absent."""
+    if gain is not None:
+        out *= gain
+    if shift is not None:
+        out += shift
+    return out
+
+
 def layer_norm(
     x: np.ndarray,
     gain: np.ndarray | None = None,
@@ -71,14 +98,7 @@ def layer_norm(
 ) -> np.ndarray:
     """Normalize over the last axis; biased variance, then affine."""
     x = np.asarray(x, dtype=np.float64)
-    mu = x.mean(axis=-1, keepdims=True)
-    var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
-    out = (x - mu) / np.sqrt(var + eps)
-    if gain is not None:
-        out = out * gain
-    if shift is not None:
-        out = out + shift
-    return out
+    return affine_in_place(standardize(x, (-1,), eps)[0], gain, shift)
 
 
 def group_norm(
@@ -97,29 +117,28 @@ def group_norm(
     *lead, h, w, c = x.shape
     if c % groups != 0:
         raise ValueError(f"group_norm: channels {c} not divisible by groups {groups}")
-    g = x.reshape(*lead, h, w, groups, c // groups)
-    mu = g.mean(axis=GROUP_AXES, keepdims=True)
-    var = np.mean((g - mu) ** 2, axis=GROUP_AXES, keepdims=True)
-    out = ((g - mu) / np.sqrt(var + eps)).reshape(x.shape)
-    if gain is not None:
-        out = out * gain
-    if shift is not None:
-        out = out + shift
-    return out
+    xhat = standardize(x.reshape(*lead, h, w, groups, c // groups), GROUP_AXES, eps)[0]
+    return affine_in_place(xhat.reshape(x.shape), gain, shift)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-shifted softmax; safe for large magnitudes."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    out = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True)
+    return out
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """Exact Gaussian-error-function form: 0.5 * x * (1 + erf(x / sqrt(2)))."""
     x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+    out = x * _INV_SQRT2
+    erf(out, out=out)
+    out += 1.0
+    out *= x
+    out *= 0.5
+    return out
 
 
 def lerp_taps(n_out: int, n_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -168,41 +187,93 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top
 
 
-def bilinear_taps(
-    shape: tuple[int, ...], points: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """Corner taps of zero-padded bilinear sampling of [..., H, W, C] maps.
+@dataclass(frozen=True)
+class SamplingPlan:
+    """Zero-padded bilinear sampling of [..., H, W, C] maps at fixed points.
 
-    ``points`` is [..., N, 2] with the same leading axes as the maps. Returns
-    the four corner indices (00, 01, 10, 11), each [..., N], as rows of the
-    maps flattened to [L*H*W, C] (see :func:`padded_rows`), where a corner
-    outside its map points at the trailing all-zero row; plus the fractional
-    offsets tx, ty [..., N] within the cell.
+    With the maps flattened to rows [L*H*W, C] and the points to [M, 2]
+    (M = L*N), point m reads the corners ``index[m]`` [2, 2] (lower/upper y
+    tap, then lower/upper x tap) with weight ``taps[a, 1, m] * taps[b, 0, m]``,
+    held as the CSR operator ``matrix`` [M, L*H*W]. ``taps`` [tap, axis, M]
+    holds the lower/upper tap weights along x and y. A tap outside the map
+    (``valid`` false) has weight 0 and points at the nearest row inside, so a
+    corner outside contributes nothing.
     """
-    *lead, h, w, _ = shape
-    maps = int(np.prod(lead, dtype=np.int64))
-    xp = points[..., 0] * w - 0.5  # continuous pixel-space coords
-    yp = points[..., 1] * h - 0.5
-    x0 = np.floor(xp)
-    y0 = np.floor(yp)
-    tx = xp - x0
-    ty = yp - y0
-    x0 = x0.astype(np.int64)
-    y0 = y0.astype(np.int64)
-    base = (np.arange(maps, dtype=np.int64) * (h * w)).reshape(*lead, 1)
-    corners = []
-    for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        yi = y0 + dy
-        xi = x0 + dx
-        inside = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-        corners.append(np.where(inside, base + yi * w + xi, maps * h * w))
-    return corners, tx, ty
+
+    matrix: sparse.csr_array
+    index: np.ndarray  # [M, 2, 2]
+    taps: np.ndarray  # [2, 2, M]
+    valid: np.ndarray  # [2, 2, M]
+
+    def sample(self, maps: np.ndarray, points_shape: tuple[int, ...]) -> np.ndarray:
+        """``S @ maps``: the samples [..., N, C] for points of ``points_shape``."""
+        c = maps.shape[-1]
+        return (self.matrix @ maps.reshape(-1, c)).reshape(*points_shape[:-1], c)
+
+    def map_grad(self, g: np.ndarray, maps_shape: tuple[int, ...]) -> np.ndarray:
+        """``S^T @ g``: the gradient of the maps from the samples' gradient."""
+        return (self.matrix.T @ g.reshape(-1, g.shape[-1])).reshape(maps_shape)
+
+    def point_grad(self, g: np.ndarray, maps: np.ndarray) -> np.ndarray:
+        """Gradient of the points [..., N, 2] from the samples' gradient."""
+        h, w, c = maps.shape[-3:]
+        corners = maps.reshape(-1, c)[self.index]  # [M, 2, 2, C]
+        dweight = np.einsum("mabc,mc->mab", corners, g.reshape(-1, c))
+        # d tap weight / d normalized coordinate: -size, +size, 0 outside
+        slope = self.valid * (_TAP_SIGN * np.array([[w], [h]]))
+        (wx, wy), (dx, dy) = self.taps.swapaxes(0, 1), slope.swapaxes(0, 1)
+        out = np.empty(g.shape[:-1] + (2,))
+        out[..., 0] = np.einsum("mab,am,bm->m", dweight, wy, dx).reshape(g.shape[:-1])
+        out[..., 1] = np.einsum("mab,am,bm->m", dweight, dy, wx).reshape(g.shape[:-1])
+        return out
 
 
-def padded_rows(img: np.ndarray) -> np.ndarray:
-    """[..., H, W, C] maps as [L*H*W + 1, C] rows, the last one all zero."""
-    c = img.shape[-1]
-    return np.concatenate([img.reshape(-1, c), np.zeros((1, c))])
+_TAP = np.array([0, 1])[:, None, None]  # lower/upper tap offset, [tap, 1, 1]
+_TAP_SIGN = np.array([-1.0, 1.0])[:, None, None]
+
+
+def sampling_plan(maps_shape: tuple[int, ...], points: np.ndarray) -> SamplingPlan:
+    """Plan sampling of maps of ``maps_shape`` [..., H, W, C] at points [..., N, 2].
+
+    The points carry the maps' leading axes, one set of N per map.
+    """
+    if len(maps_shape) < 3 or points.ndim != len(maps_shape) - 1 or points.shape[-1] != 2 or (
+        points.shape[:-2] != tuple(maps_shape[:-3])
+    ):
+        raise ValueError(
+            f"bilinear_sample: points must be [..., N, 2] with the maps' leading axes, "
+            f"got maps {tuple(maps_shape)} and points {points.shape}"
+        )
+    h, w = maps_shape[-3:-1]
+    maps = int(np.prod(maps_shape[:-3], dtype=np.int64))
+    size = np.array([[w], [h]])  # [axis, 1]
+    t = points.reshape(-1, 2).T * size  # [axis, M]
+    t -= 0.5  # continuous pixel-space coordinates
+    lo = np.floor(t)
+    t -= lo  # fractional offset within the cell
+    m = t.shape[1]
+    cell = np.empty((2, 2, m), dtype=np.int64)  # [tap, axis, M]
+    np.add(lo, _TAP, out=cell, casting="unsafe")
+    valid = (cell >= 0) & (cell < size)
+    taps = np.empty((2, 2, m))
+    np.subtract(1.0, t, out=taps[0])
+    taps[1] = t
+    taps *= valid
+    np.maximum(cell, 0, out=cell)
+    np.minimum(cell, size - 1, out=cell)
+    rows = cell[:, 1]
+    rows *= w
+    rows += np.arange(maps, dtype=np.int64).repeat(points.shape[-2]) * (h * w)
+    # [M, 2, 2] results written through [2, 2, M] views: long inner loops
+    index = np.empty((m, 2, 2), dtype=np.int64)
+    np.add(rows[:, None, :], cell[None, :, 0], out=index.transpose(1, 2, 0))
+    weight = np.empty((m, 2, 2))
+    np.multiply(taps[:, None, 1], taps[None, :, 0], out=weight.transpose(1, 2, 0))
+    matrix = sparse.csr_array(
+        (weight.reshape(-1), index.reshape(-1), np.arange(0, 4 * m + 1, 4)),
+        shape=(m, maps * h * w),
+    )
+    return SamplingPlan(matrix, index, taps, valid)
 
 
 def bilinear_sample(img: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -214,28 +285,7 @@ def bilinear_sample(img: np.ndarray, points: np.ndarray) -> np.ndarray:
     """
     img = np.asarray(img, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
-    if img.ndim < 3 or points.ndim != img.ndim - 1 or points.shape[-1] != 2 or (
-        points.shape[:-2] != img.shape[:-3]
-    ):
-        raise ValueError(
-            f"bilinear_sample: points must be [..., N, 2] with the maps' leading axes, "
-            f"got maps {img.shape} and points {points.shape}"
-        )
-    rows = padded_rows(img)
-    corners, tx, ty = bilinear_taps(img.shape, points)
-    tx = tx[..., None]
-    ty = ty[..., None]
-    # v00*(1-tx)*(1-ty) + v01*tx*(1-ty) + v10*(1-tx)*ty + v11*tx*ty, in place
-    out = rows[corners[0]]
-    out *= 1.0 - tx
-    out *= 1.0 - ty
-    taps = ((corners[1], tx, 1.0 - ty), (corners[2], 1.0 - tx, ty), (corners[3], tx, ty))
-    for idx, wx, wy in taps:
-        tap = rows[idx]
-        tap *= wx
-        tap *= wy
-        out += tap
-    return out
+    return sampling_plan(img.shape, points).sample(img, points.shape)
 
 
 def conv2d(

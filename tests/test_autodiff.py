@@ -167,7 +167,10 @@ def test_depthwise_conv_op():
     x = RNG.standard_normal((4, 5, 3))
     k = RNG.standard_normal((3, 3, 3))
     b = RNG.standard_normal(3)
-    assert fd_max_err(lambda v: scalarize(ad.depthwise_conv_op(v[0], v[1], v[2])), [x, k, b]) <= TOL
+    # at step 1e-6 rounding in the central difference alone reaches TOL on
+    # some draws (5.3e-9 over seeds 0-23); at 1e-5 it stays below 1e-9
+    fn = lambda v: scalarize(ad.depthwise_conv_op(v[0], v[1], v[2]))
+    assert fd_max_err(fn, [x, k, b], step=1e-5) <= TOL
 
 
 def test_bilinear_resize_op():
@@ -182,6 +185,11 @@ def test_bilinear_sample_op_map_and_points():
     pts = (RNG.integers(0, 8, (7, 2)) + 0.31) / np.array([6.0, 5.0])
     fn = lambda v: scalarize(ad.bilinear_sample_op(v[0], v[1]))
     assert fd_max_err(fn, [x, pts]) <= 1e-7
+    # batched maps and points; cells -1 and size put points partly outside
+    rng = np.random.default_rng(12)  # leaves the module stream of later tests as it was
+    maps = rng.standard_normal((2, 3, 5, 4, 2))
+    pts = (rng.integers(-1, 6, (2, 3, 7, 2)) + 0.31) / np.array([4.0, 5.0])
+    assert fd_max_err(fn, [maps, pts]) <= 1e-7
 
 
 def test_backward_accumulates_through_diamond():

@@ -270,6 +270,21 @@ def test_train_accuracy_matches_argmax():
     assert acc == float(np.mean(labels == 0))
 
 
+def test_train_accuracy_equals_per_image_loop():
+    # heads and gates away from zero so predictions spread over the classes;
+    # 100 images leave a partial last stack
+    model = PiipModel(TINY)
+    rng = np.random.default_rng(4)
+    for name, value in model.params.items():
+        if name.startswith("head") or name.endswith((".gamma", ".tau")):
+            model.params[name] = rng.normal(0.0, 0.5, value.shape)
+    images, labels = harness.make_dataset(harness.task_for(TINY), 100, seed=5)
+    preds = [int(np.argmax(model.forward(im).logits)) for im in images]
+    assert len(set(preds)) > 1
+    hits = sum(p == int(y) for p, y in zip(preds, labels))
+    assert harness.train_accuracy(model, images, labels) == hits / len(images)
+
+
 def test_run_verification_all_green():
     lines = []
     failures = harness.run_verification(report=lines.append)

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
+from piip import autodiff as ad
 from piip import primitives as pr
 
 import scalar_oracles as ref
@@ -194,3 +196,27 @@ def test_feature_map_rejects_bad_shape():
     with pytest.raises(ValueError):
         pr.FeatureMap(grid_h=3, grid_w=4, dim=5, branch_id=1,
                       tokens=RNG.standard_normal((11, 5)))
+
+
+def test_single_buffer_kernels_bitwise_equal_one_line_formulas():
+    rng = np.random.default_rng(5)  # leaves the module stream as it was
+    x = rng.standard_normal((3, 6, 8)) * 3
+    gain, shift = rng.standard_normal(8), rng.standard_normal(8)
+    assert np.array_equal(pr.gelu(x), 0.5 * x * (1.0 + erf(x * (1.0 / np.sqrt(2.0)))))
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    assert np.array_equal(pr.softmax(x), e / np.sum(e, axis=-1, keepdims=True))
+    mu = x.mean(axis=-1, keepdims=True)
+    var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
+    ln = (x - mu) / np.sqrt(var + 1e-6) * gain + shift
+    assert np.array_equal(pr.layer_norm(x, gain, shift), ln)
+    op = ad.layer_norm_op(ad.leaf(x), ad.leaf(gain), ad.leaf(shift))
+    assert np.array_equal(op.value, ln)
+    # group norm of [2, 3, 3, 8] maps in 2 groups of 4 channels
+    maps = x.reshape(2, 3, 3, 8)
+    g = maps.reshape(2, 3, 3, 2, 4)
+    mu = g.mean(axis=(-4, -3, -1), keepdims=True)
+    var = np.mean((g - mu) ** 2, axis=(-4, -3, -1), keepdims=True)
+    gn = ((g - mu) / np.sqrt(var + 1e-6)).reshape(maps.shape) * gain + shift
+    assert np.array_equal(pr.group_norm(maps, 2, gain, shift), gn)
+    op = ad.group_norm_op(ad.leaf(maps), 2, ad.leaf(gain), ad.leaf(shift))
+    assert np.array_equal(op.value, gn)
