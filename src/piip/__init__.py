@@ -25,7 +25,7 @@ from .config import (
     render_config,
     validate,
 )
-from .costmodel import CostReport, cost_delta, cost_report, count_flops, count_params
+from .costmodel import CostReport, cost_delta, cost_report
 from .model import AdamW, ForwardResult, PiipModel
 from .primitives import FeatureMap
 
@@ -51,8 +51,6 @@ __all__ = [
     "ValidationError",
     "cost_delta",
     "cost_report",
-    "count_flops",
-    "count_params",
     "load_config",
     "parse_config",
     "preset",

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on validation/config errors, 2 on I/O errors.
-``PIIP_SEED`` in the environment overrides the seed of any loaded config.
+``PIIP_SEED`` in the environment overrides the seed of the configs that
+commands build models from; costs never depend on a seed.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = explorer.load_sweep_spec(args.spec)
-    if "PIIP_SEED" in os.environ:
-        spec = replace(spec, base=replace(spec.base, seed=int(os.environ["PIIP_SEED"])))
     rows = explorer.sweep(spec, budget_gflops=args.budget)
     explorer.emit(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -46,9 +45,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_pareto(args: argparse.Namespace) -> int:
     with open(args.table, "r", encoding="utf-8") as fh:
-        rows = explorer.parse_table(fh.read())
+        columns, rows = explorer.read_table(fh.read())
     front = explorer.pareto_front(rows, args.cost, args.quality)
-    columns = list(rows[0]) if rows else []
     text = explorer.render_csv(front, columns=columns)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

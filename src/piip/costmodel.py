@@ -211,16 +211,6 @@ def cost_report(cfg: PyramidConfig) -> CostReport:
     return CostReport(tuple(entries))
 
 
-def count_params(cfg: PyramidConfig) -> CostReport:
-    """Parameter counts per component (the ``params`` field of each entry)."""
-    return cost_report(cfg)
-
-
-def count_flops(cfg: PyramidConfig) -> CostReport:
-    """Forward-pass MACs per component (the ``flops`` field of each entry)."""
-    return cost_report(cfg)
-
-
 @dataclass(frozen=True)
 class DeltaEntry:
     name: str

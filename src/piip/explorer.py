@@ -272,15 +272,23 @@ def render_csv(rows: list[Row], columns: list[str] | None = None) -> str:
     return buf.getvalue()
 
 
-def parse_table(text: str) -> list[Row]:
+def read_table(text: str) -> tuple[list[str], list[Row]]:
+    """CSV text as (header, rows); every line must have the header's cell count."""
     reader = csv.reader(io.StringIO(text))
-    table = list(reader)
-    if not table:
+    header = next(reader, None)
+    if header is None:
         raise ValueError("empty table: no header row")
-    header = table[0]
-    return [
-        {col: _parse_cell(cell) for col, cell in zip(header, line)} for line in table[1:]
-    ]
+    rows = []
+    for line in reader:
+        if len(line) != len(header):
+            raise ParseError(f"table line {reader.line_num} has {len(line)} cells, "
+                             f"the header has {len(header)}")
+        rows.append({col: _parse_cell(cell) for col, cell in zip(header, line)})
+    return header, rows
+
+
+def parse_table(text: str) -> list[Row]:
+    return read_table(text)[1]
 
 
 def render_json(rows: list[Row]) -> str:
@@ -303,6 +311,7 @@ __all__ = [
     "pareto_front",
     "parse_sweep_spec",
     "parse_table",
+    "read_table",
     "render_csv",
     "render_json",
     "resolve_base",

@@ -10,20 +10,27 @@ in small-scale shape detail: a tiny binary glyph stamped at a random
 position over a smooth low-frequency background. Telling the ten glyphs
 apart requires resolving structure near the patch scale, which is exactly
 what the high-resolution/narrow branch of a pyramid is there to provide.
+
+The verification battery (``CHECKS``) holds the protocols of acceptance
+criteria 3, 4, 5, 6 and 8 beside two checks of its own; ``piip verify`` runs
+all seven and the acceptance tests call the same functions.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var
-from .config import PyramidConfig
+from . import explorer
+from .config import PRESET_NAMES, PyramidConfig, parse_config, preset, render_config
+from .costmodel import cost_report
+from .interaction import DeformableCrossAttention
 from .model import AdamW, PiipModel
-from .primitives import FeatureMap, bilinear_resize
+from .primitives import FeatureMap, bilinear_resize, bilinear_sample, reference_points
 
 
 # ---------------------------------------------------------------------------
@@ -118,24 +125,38 @@ def brute_force_deform_attn(
     return result
 
 
-def deform_attn_main_path(
-    query: np.ndarray,
-    q_grid: tuple[int, int],
-    value: np.ndarray,
-    v_grid: tuple[int, int],
-    weights: dict[str, np.ndarray],
-    heads: int,
-    points: int,
-) -> np.ndarray:
-    """Run the vectorized deformable attention on explicit weight arrays."""
-    from .interaction import DeformableCrossAttention
+def deform_instance(
+    rng: np.random.Generator, d: int, vdim: int, heads: int, points: int,
+    q_grid: tuple[int, int], v_grid: tuple[int, int],
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Random (query, value, weights) for one deformable-attention instance."""
+    weights = {
+        "val_w": rng.standard_normal((d, vdim)) * 0.2,
+        "val_b": rng.standard_normal(vdim) * 0.1,
+        "out_w": rng.standard_normal((vdim, d)) * 0.2,
+        "out_b": rng.standard_normal(d) * 0.1,
+        "off_w": rng.standard_normal((d, heads * points * 2)) * 0.3,
+        "off_b": rng.standard_normal(heads * points * 2) * 0.3,
+        "wt_w": rng.standard_normal((d, heads * points)) * 0.3,
+        "wt_b": rng.standard_normal(heads * points) * 0.1,
+    }
+    query = rng.standard_normal((q_grid[0] * q_grid[1], d))
+    value = rng.standard_normal((v_grid[0] * v_grid[1], d))
+    return query, value, weights
 
+
+def deform_oracle_gap(
+    query: np.ndarray, q_grid: tuple[int, int], value: np.ndarray, v_grid: tuple[int, int],
+    weights: dict[str, np.ndarray], heads: int, points: int,
+) -> float:
+    """Max |vectorized deformable attention - ``brute_force_deform_attn``| on one instance."""
     attn = DeformableCrossAttention(
         "probe", query.shape[1], heads, points, weights["val_w"].shape[1]
     )
     P = {f"probe.{k}": ad.leaf(v) for k, v in weights.items()}
-    out = attn.forward(P, ad.leaf(query), q_grid, ad.leaf(value), v_grid)
-    return out.value
+    got = attn.forward(P, ad.leaf(query), q_grid, ad.leaf(value), v_grid).value
+    want = brute_force_deform_attn(query, q_grid, value, v_grid, weights, heads, points)
+    return float(np.abs(got - want).max())
 
 
 # ---------------------------------------------------------------------------
@@ -391,29 +412,8 @@ def train_accuracy(model: PiipModel, images: np.ndarray, labels: np.ndarray) -> 
 
 
 # ---------------------------------------------------------------------------
-# spectral profile
+# spectral energy split
 # ---------------------------------------------------------------------------
-
-
-def spectral_profile(fmap: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
-    """Radially binned power spectrum of the channel-averaged feature grid.
-
-    Returns (bin center frequency in cycles/sample, total power per bin).
-    """
-    if fmap.grid_h < 4 or fmap.grid_w < 4:
-        raise ValueError(f"spectral_profile needs a grid of at least 4x4, got "
-                         f"{fmap.grid_h}x{fmap.grid_w}")
-    plane = fmap.as_grid().mean(axis=2)  # [H, W]
-    power = np.abs(np.fft.fft2(plane)) ** 2
-    fy = np.fft.fftfreq(fmap.grid_h)[:, None]
-    fx = np.fft.fftfreq(fmap.grid_w)[None, :]
-    radius = np.hypot(fy, fx)
-    nbins = max(fmap.grid_h, fmap.grid_w) // 2 + 1
-    edges = np.linspace(0.0, math.sqrt(0.5), nbins + 1)
-    which = np.clip(np.digitize(radius.ravel(), edges) - 1, 0, nbins - 1)
-    profile = np.bincount(which, weights=power.ravel(), minlength=nbins)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return centers, profile
 
 
 def high_freq_fraction(fmap: FeatureMap, cutoff: float = 0.25) -> float:
@@ -432,7 +432,7 @@ def high_freq_fraction(fmap: FeatureMap, cutoff: float = 0.25) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dominance oracle + verification battery
+# dominance oracle
 # ---------------------------------------------------------------------------
 
 
@@ -442,10 +442,8 @@ def pareto_oracle(rows: list[dict], cost_col: str, quality_col: str) -> list[dic
     Cells are read as the fast path reads them, so a NaN raises the same
     ``NaNCellError``.
     """
-    from .explorer import numeric_column
-
-    cost = numeric_column(rows, cost_col)
-    quality = numeric_column(rows, quality_col)
+    cost = explorer.numeric_column(rows, cost_col)
+    quality = explorer.numeric_column(rows, quality_col)
     kept = []
     for i in range(len(rows)):
         dominated = False
@@ -465,108 +463,184 @@ def pareto_oracle(rows: list[dict], cost_col: str, quality_col: str) -> list[dic
     return [rows[k] for k in kept]
 
 
-def run_verification(report=print) -> int:
-    """Battery of independent checks; returns the number of failures."""
-    from . import explorer
-    from .config import PRESET_NAMES, parse_config, preset, render_config
-    from .costmodel import count_params
-    from .primitives import bilinear_sample, reference_points
 
-    failures = 0
 
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if not ok:
-            failures += 1
-        suffix = f"  ({detail})" if detail and not ok else ""
-        report(f"{'PASS' if ok else 'FAIL'}  {name}{suffix}")
+# ---------------------------------------------------------------------------
+# verification battery
+# ---------------------------------------------------------------------------
 
-    # 1. config round-trip
+
+@dataclass(frozen=True)
+class Verdict:
+    name: str
+    ok: bool
+    detail: str
+
+
+def check_config_round_trip() -> Verdict:
     ok = all(parse_config(render_config(preset(n))) == preset(n) for n in PRESET_NAMES)
-    check("config round-trip over presets", ok)
+    return Verdict("config round-trip over presets", ok, f"{len(PRESET_NAMES)} presets")
 
-    # 2. sampling at exact token centers reproduces the tokens
-    rng = np.random.default_rng(11)
-    fmap = rng.standard_normal((8, 8, 5))
-    centers = reference_points(8, 8)
-    err = float(np.abs(bilinear_sample(fmap, centers) - fmap.reshape(64, 5)).max())
-    check("bilinear sampling exact at grid centers", err == 0.0, f"max err {err:g}")
 
-    # 3. deformable attention against the scalar-loop oracle
-    worst = 0.0
-    for trial in range(6):
-        r = np.random.default_rng(100 + trial)
-        d, vdim, heads, points = 16, 8, 2, 3
-        qg, vg = (3, 4), (5, 3)
-        weights = {
-            "val_w": r.standard_normal((d, vdim)) * 0.2,
-            "val_b": r.standard_normal(vdim) * 0.1,
-            "out_w": r.standard_normal((vdim, d)) * 0.2,
-            "out_b": r.standard_normal(d) * 0.1,
-            "off_w": r.standard_normal((d, heads * points * 2)) * 0.3,
-            "off_b": r.standard_normal(heads * points * 2) * 0.3,
-            "wt_w": r.standard_normal((d, heads * points)) * 0.3,
-            "wt_b": r.standard_normal(heads * points) * 0.1,
-        }
-        q = r.standard_normal((qg[0] * qg[1], d))
-        v = r.standard_normal((vg[0] * vg[1], d))
-        got = deform_attn_main_path(q, qg, v, vg, weights, heads, points)
-        want = brute_force_deform_attn(q, qg, v, vg, weights, heads, points)
-        worst = max(worst, float(np.abs(got - want).max()))
-    check("deformable attention matches scalar oracle", worst <= 1e-10,
-          f"max err {worst:.2e}")
+def check_sampling_grid_centers() -> Verdict:
+    fmap = np.random.default_rng(11).standard_normal((8, 8, 5))
+    got = bilinear_sample(fmap, reference_points(8, 8))
+    err = float(np.abs(got - fmap.reshape(64, 5)).max())
+    return Verdict("bilinear sampling exact at grid centers", err == 0.0, f"max err {err:g}")
 
-    # 4. zero-init gates leave branch features bitwise untouched
-    from .config import preset as _preset
 
-    model = PiipModel(_preset("piip-tiny-test"))
-    image = np.random.default_rng(5).random((model.input_resolution,) * 2 + (3,))
-    graph = model.graph_forward(image, model._wrap(needs_grad=False))
+def check_zero_gate_identity() -> Verdict:
+    """Criterion 3: at init, every branch's tokens equal the branch run alone."""
+    t0 = time.perf_counter()
+    model = PiipModel(preset("piip-tiny-test"))
     P = model._wrap(needs_grad=False)
-    from . import autodiff as _ad
-
-    img_var = _ad.as_var(image)
     depth = model.config.branches[0].depth
-    ok = True
-    for branch, state in zip(model.branches, graph.branch_states):
-        plain = branch.segment(P, branch.embed_forward(P, img_var), 0, depth)
-        ok = ok and np.array_equal(plain.tokens.value, state.tokens.value)
-    check("interactions with zero gates are an exact identity", ok)
+    rng = np.random.default_rng(1234)
+    identical = 0
+    for _ in range(10):
+        image = rng.random((model.input_resolution,) * 2 + (3,))
+        graph = model.graph_forward(image, P)
+        img_var = ad.as_var(image)
+        identical += all(
+            np.array_equal(
+                branch.segment(P, branch.embed_forward(P, img_var), 0, depth).tokens.value,
+                state.tokens.value,
+            )
+            for branch, state in zip(model.branches, graph.branch_states)
+        )
+    elapsed = time.perf_counter() - t0
+    ok = identical == 10 and elapsed < 30.0
+    detail = f"{identical}/10 inputs bitwise identical per branch, {elapsed:.1f}s"
+    return Verdict("zero-gate interactions are an exact identity", ok, detail)
 
-    # 5. finite-difference gradient spot check
-    model = PiipModel(_preset("piip-tiny-test"))
-    rng = np.random.default_rng(23)
+
+# (d, vdim, heads, points, q_grid, v_grid) of criterion 4's instances
+DEFORM_SHAPES = (
+    (8, 4, 1, 2, (2, 2), (3, 3)),
+    (16, 8, 2, 4, (3, 4), (5, 3)),
+    (24, 12, 4, 3, (1, 6), (4, 4)),
+    (8, 8, 2, 1, (4, 1), (2, 5)),   # K = 1
+    (16, 6, 3, 2, (2, 3), (6, 2)),
+    (12, 4, 2, 5, (5, 5), (1, 1)),
+    (12, 6, 1, 1, (3, 3), (3, 3)),  # K = 1, single head
+)
+
+
+def check_deform_oracle() -> Verdict:
+    """Criterion 4: 50 random instances against ``brute_force_deform_attn``."""
+    t0 = time.perf_counter()
+    worst = 0.0
+    for trial in range(50):
+        rng = np.random.default_rng(42_000 + trial)
+        d, vdim, heads, points, qg, vg = DEFORM_SHAPES[trial % len(DEFORM_SHAPES)]
+        q, v, weights = deform_instance(rng, d, vdim, heads, points, qg, vg)
+        if trial % 5 == 3:  # exact zero offsets
+            weights["off_w"][:] = 0.0
+            weights["off_b"][:] = 0.0
+        if trial % 7 == 5:  # every tap far out of bounds
+            weights["off_w"][:] = 0.0
+            weights["off_b"][:] = 30.0
+        worst = max(worst, deform_oracle_gap(q, qg, v, vg, weights, heads, points))
+    elapsed = time.perf_counter() - t0
+    ok = worst <= 1e-10 and elapsed < 60.0
+    detail = f"50 instances, max |Δ| {worst:.2e}, {elapsed:.1f}s"
+    return Verdict("deformable attention matches scalar oracle", ok, detail)
+
+
+def check_fd_gradients() -> Verdict:
+    """Criterion 5: 200 central differences covering every parameter family."""
+    t0 = time.perf_counter()
+    model = PiipModel(preset("piip-tiny-test"))
+    rng = np.random.default_rng(77)
     randomize_gates(model, rng)
+    image = rng.random((model.input_resolution,) * 2 + (3,))
 
     def loss_fn(graph):
-        assert graph.logits is not None
         return ad.cross_entropy_op(graph.logits, 3)
 
-    records = model_gradient_check(model, image, loss_fn, rng, total=40)
-    worst_rel = max(r.rel_err for r in records)
-    check("finite-difference gradients", worst_rel <= 1e-4,
-          f"max rel err {worst_rel:.2e} over {len(records)} coords")
+    records = model_gradient_check(model, image, loss_fn, rng, total=200)
+    worst = max(r.rel_err for r in records)
+    max_abs = max(abs(r.analytic - r.numeric) for r in records)
 
-    # 6. pareto fast path against the quadratic oracle
-    ok = True
-    for trial in range(20):
-        r = np.random.default_rng(300 + trial)
+    def families(names) -> set[str]:
+        return {f for f, pattern in PARAM_FAMILIES.items() if any(pattern in n for n in names)}
+
+    present = families(model.params)
+    checked = families({r.name for r in records})
+    elapsed = time.perf_counter() - t0
+    ok = worst <= 1e-4 and checked == present and elapsed < 300.0
+    detail = (
+        f"200 coords over {len(checked)}/{len(present)} families, "
+        f"max |analytic-numeric| {max_abs:.1e}, max rel err {worst:.1e}, {elapsed:.1f}s"
+    )
+    return Verdict("finite-difference gradient check", ok, detail)
+
+
+def check_cost_registry() -> Verdict:
+    """Criterion 6: ``cost_report`` counts every preset's registry exactly."""
+    counts = [
+        (cost_report(preset(n)).total_params, PiipModel(preset(n), materialize=False).param_count())
+        for n in PRESET_NAMES
+    ]
+    ok = all(a == r for a, r in counts)
+    detail = f"{len(counts)} presets equal exactly, largest {max(a for a, _ in counts):,} params"
+    return Verdict("cost_report equals the parameter registry", ok, detail)
+
+
+def check_pareto_and_sweep() -> Verdict:
+    """Criterion 8: fast Pareto front equals the oracle; sweep FLOPs grow with resolution."""
+    t0 = time.perf_counter()
+    agree = 0
+    for trial in range(100):
+        rng = np.random.default_rng(5_000 + trial)
         rows = [
-            {"id": i, "flops": float(r.integers(1, 8)), "acc": float(r.integers(1, 8))}
-            for i in range(r.integers(1, 30))
+            {
+                "config_id": f"r{i}",
+                "flops": float(rng.integers(0, 10)),
+                "acc": float(np.round(rng.random(), 1)),
+            }
+            for i in range(int(rng.integers(1, 40)))
         ]
         fast = explorer.pareto_front(rows, "flops", "acc")
         slow = pareto_oracle(rows, "flops", "acc")
-        ok = ok and [row["id"] for row in fast] == [row["id"] for row in slow]
-    check("pareto front matches dominance oracle", ok)
+        agree += [id(r) for r in fast] == [id(r) for r in slow]
 
-    # 7. analytic parameter count equals the materialized registry
-    ok = True
-    for name in ("piip-tiny-test", "piip-tsb-toy", "piip-sbl-toy"):
-        cfg = _preset(name)
-        ok = ok and count_params(cfg).total_params == PiipModel(cfg, materialize=False).param_count()
-    check("cost model agrees with parameter registry", ok)
+    monotone = True
+    candidates = {1: "32, 64, 96", 2: "64, 96, 128", 3: "160, 192, 224"}
+    for j, values in candidates.items():
+        spec = explorer.parse_sweep_spec(
+            f"[sweep]\nbase = piip-tsb-toy\nresolutions.{j} = {values}\n"
+        )
+        flops = [row["flops"] for row in explorer.sweep(spec)]
+        monotone = monotone and len(flops) == 3 and flops[0] < flops[1] < flops[2]
 
+    elapsed = time.perf_counter() - t0
+    ok = agree == 100 and monotone and elapsed < 30.0
+    detail = (
+        f"{agree}/100 tables match the dominance oracle, "
+        f"per-branch FLOPs strictly increasing, {elapsed:.1f}s"
+    )
+    return Verdict("pareto front and sweep behavior", ok, detail)
+
+
+CHECKS = (
+    check_config_round_trip,
+    check_sampling_grid_centers,
+    check_zero_gate_identity,
+    check_deform_oracle,
+    check_fd_gradients,
+    check_cost_registry,
+    check_pareto_and_sweep,
+)
+
+
+def run_verification(report=print) -> int:
+    """Run every check in ``CHECKS``, one line each; returns the number of failures."""
+    failures = 0
+    for check in CHECKS:
+        verdict = check()
+        failures += not verdict.ok
+        report(f"{'PASS' if verdict.ok else 'FAIL'}  {verdict.name}  [{verdict.detail}]")
     report(f"{'OK' if failures == 0 else 'FAILED'}: "
-           f"{7 - failures}/7 verification checks passed")
+           f"{len(CHECKS) - failures}/{len(CHECKS)} verification checks passed")
     return failures

@@ -53,17 +53,6 @@ class FeatureMap:
         return self.tokens.reshape(self.grid_h, self.grid_w, self.dim)
 
 
-def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """x: [..., d_in], weight: [d_in, d_out], bias: [d_out] -> [..., d_out]."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != weight.shape[0]:
-        raise ValueError(f"linear: input dim {x.shape[-1]} != weight rows {weight.shape[0]}")
-    out = x @ weight
-    if bias is not None:
-        out = out + bias
-    return out
-
-
 def standardize(
     x: np.ndarray, axes: tuple[int, ...], eps: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -109,6 +109,20 @@ def test_pareto_to_file_and_missing_column(tmp_path, capsys):
     assert "miou" in capsys.readouterr().err
 
 
+def test_pareto_header_only_table_prints_its_header(tmp_path, capsys):
+    table = tmp_path / "empty.csv"
+    table.write_text("config_id,flops,acc\n")
+    assert main(["pareto", str(table)]) == 0
+    assert capsys.readouterr().out == "config_id,flops,acc\n"
+
+
+def test_pareto_rejects_extra_cells(tmp_path, capsys):
+    table = tmp_path / "ragged.csv"
+    table.write_text("id,flops,acc\n1,2.0,0.5,EXTRA\n")
+    assert main(["pareto", str(table)]) == 1
+    assert "line 2 has 4 cells" in capsys.readouterr().err
+
+
 def test_train_toy_writes_metrics(tmp_path, capsys):
     out = tmp_path / "metrics.csv"
     rc = main([

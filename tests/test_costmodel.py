@@ -40,7 +40,7 @@ import dataclasses
 import pytest
 
 from piip.config import AttentionKind, preset
-from piip.costmodel import cost_delta, cost_report, count_flops, count_params
+from piip.costmodel import cost_delta, cost_report
 
 TINY = preset("piip-tiny-test")
 PIIP_B = preset("piip-b")
@@ -52,7 +52,7 @@ def entry(report, name):
 
 
 def test_tiny_params_match_hand_ledger():
-    report = count_params(TINY)
+    report = cost_report(TINY)
     assert entry(report, "branch1").params == 50_048
     assert entry(report, "branch2").params == 18_928
     assert entry(report, "branch3").params == 8_024
@@ -62,7 +62,7 @@ def test_tiny_params_match_hand_ledger():
 
 
 def test_tiny_flops_match_hand_ledger():
-    report = count_flops(TINY)
+    report = cost_report(TINY)
     assert entry(report, "branch1").flops == 49_280
     assert entry(report, "branch2").flops == 74_752
     assert entry(report, "branch3").flops == 131_072
@@ -114,14 +114,14 @@ def test_vit_b_baseline():
 def test_flops_monotone_in_resolution(which):
     # growing any one branch's input (others fixed) must cost more MACs
     base = TINY
-    prev = count_flops(base).total_flops
+    prev = cost_report(base).total_flops
     for bump in (1, 2, 3):
         branches = list(base.branches)
         b = branches[which]
         branches[which] = dataclasses.replace(b, resolution=b.resolution + 16 * bump)
         grown = dataclasses.replace(base, branches=tuple(branches))
         try:
-            cur = count_flops(grown).total_flops
+            cur = cost_report(grown).total_flops
         except Exception:
             continue  # bump broke the resolution ordering constraint
         assert cur > prev
@@ -181,7 +181,7 @@ def test_cost_delta_names_union():
     names = [e.name for e in delta]
     assert "branch1" in names and "branch3" in names
     by_name = {e.name: e for e in delta}
-    assert by_name["branch2"].params == count_params(TINY).entry("branch2").params
+    assert by_name["branch2"].params == cost_report(TINY).entry("branch2").params
     assert by_name["branch2"].params_pct == float("inf")
 
 

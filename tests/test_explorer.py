@@ -188,6 +188,14 @@ def test_parse_table_empty():
         explorer.parse_table("")
 
 
+def test_parse_table_cell_count_must_match_header():
+    with pytest.raises(ParseError, match="line 3 has 4 cells, the header has 3"):
+        explorer.parse_table("id,flops,acc\n0,1.0,0.4\n1,2.0,0.5,EXTRA\n")
+    with pytest.raises(ParseError, match="line 2 has 2 cells, the header has 3"):
+        explorer.parse_table("id,flops,acc\n0,1.0\n")
+    assert explorer.read_table("id,flops,acc\n") == (["id", "flops", "acc"], [])
+
+
 def test_json_output_validates_against_shipped_schema():
     schema = json.loads(
         resources.files("piip").joinpath("schemas/sweep.json").read_text()

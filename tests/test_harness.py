@@ -1,9 +1,8 @@
-"""Harness self-checks: oracles, FD machinery, glyph task, spectra."""
+"""Harness self-checks: oracles, FD machinery, glyph task, spectra, battery."""
 
 import numpy as np
 import pytest
 
-from piip import autodiff as ad
 from piip import harness
 from piip.config import preset
 from piip.model import PiipModel
@@ -12,64 +11,26 @@ from piip.primitives import FeatureMap
 TINY = preset("piip-tiny-test")
 
 
-def deform_instance(rng, d, vdim, heads, points, qg, vg, off_scale=0.3):
-    weights = {
-        "val_w": rng.standard_normal((d, vdim)) * 0.2,
-        "val_b": rng.standard_normal(vdim) * 0.1,
-        "out_w": rng.standard_normal((vdim, d)) * 0.2,
-        "out_b": rng.standard_normal(d) * 0.1,
-        "off_w": rng.standard_normal((d, heads * points * 2)) * off_scale,
-        "off_b": rng.standard_normal(heads * points * 2) * off_scale,
-        "wt_w": rng.standard_normal((d, heads * points)) * 0.3,
-        "wt_b": rng.standard_normal(heads * points) * 0.1,
-    }
-    q = rng.standard_normal((qg[0] * qg[1], d))
-    v = rng.standard_normal((vg[0] * vg[1], d))
-    return q, v, weights
-
-
-def oracle_gap(q, qg, v, vg, weights, heads, points):
-    got = harness.deform_attn_main_path(q, qg, v, vg, weights, heads, points)
-    want = harness.brute_force_deform_attn(q, qg, v, vg, weights, heads, points)
-    return float(np.abs(got - want).max())
-
-
-def test_deform_oracle_random_instances():
-    shapes = [
-        (8, 4, 1, 2, (2, 2), (3, 3)),
-        (16, 8, 2, 4, (3, 4), (5, 3)),
-        (24, 12, 4, 3, (1, 6), (4, 4)),
-        (8, 8, 2, 1, (4, 1), (2, 5)),
-        (16, 6, 3, 2, (2, 3), (6, 2)),
-        (12, 4, 2, 5, (5, 5), (1, 1)),
-    ]
-    for trial in range(12):
-        rng = np.random.default_rng(9000 + trial)
-        d, vdim, heads, points, qg, vg = shapes[trial % len(shapes)]
-        q, v, weights = deform_instance(rng, d, vdim, heads, points, qg, vg)
-        assert oracle_gap(q, qg, v, vg, weights, heads, points) <= 1e-10
-
-
 def test_deform_oracle_zero_offsets():
     rng = np.random.default_rng(41)
-    q, v, weights = deform_instance(rng, 16, 8, 2, 4, (3, 3), (3, 3))
+    q, v, weights = harness.deform_instance(rng, 16, 8, 2, 4, (3, 3), (3, 3))
     weights["off_w"][:] = 0.0
     weights["off_b"][:] = 0.0
-    assert oracle_gap(q, (3, 3), v, (3, 3), weights, 2, 4) <= 1e-10
+    assert harness.deform_oracle_gap(q, (3, 3), v, (3, 3), weights, 2, 4) <= 1e-10
 
 
 def test_deform_oracle_single_point():
     rng = np.random.default_rng(42)
-    q, v, weights = deform_instance(rng, 12, 6, 2, 1, (2, 3), (4, 4))
-    assert oracle_gap(q, (2, 3), v, (4, 4), weights, 2, 1) <= 1e-10
+    q, v, weights = harness.deform_instance(rng, 12, 6, 2, 1, (2, 3), (4, 4))
+    assert harness.deform_oracle_gap(q, (2, 3), v, (4, 4), weights, 2, 1) <= 1e-10
 
 
 def test_deform_oracle_out_of_bounds():
     rng = np.random.default_rng(43)
-    q, v, weights = deform_instance(rng, 16, 8, 2, 3, (3, 3), (4, 4))
+    q, v, weights = harness.deform_instance(rng, 16, 8, 2, 3, (3, 3), (4, 4))
     weights["off_w"][:] = 0.0
     weights["off_b"][:] = 50.0  # every tap lands far outside the value grid
-    assert oracle_gap(q, (3, 3), v, (4, 4), weights, 2, 3) <= 1e-10
+    assert harness.deform_oracle_gap(q, (3, 3), v, (4, 4), weights, 2, 3) <= 1e-10
     out = harness.brute_force_deform_attn(q, (3, 3), v, (4, 4), weights, 2, 3)
     # zero padding means the gather is empty and only the output bias remains
     assert np.allclose(out, weights["out_b"][None, :], atol=1e-12)
@@ -142,20 +103,6 @@ def test_randomize_gates_touches_only_gates_and_heads():
     assert np.array_equal(model.params["branch1.block1.qkv_w"], qkv_before)
 
 
-def test_model_gradient_check_spot():
-    model = PiipModel(TINY)
-    rng = np.random.default_rng(19)
-    harness.randomize_gates(model, rng)
-    image = rng.random((model.input_resolution,) * 2 + (3,))
-
-    def loss_fn(graph):
-        return ad.cross_entropy_op(graph.logits, 4)
-
-    records = harness.model_gradient_check(model, image, loss_fn, rng, total=30)
-    assert len(records) == 30
-    assert max(r.rel_err for r in records) <= 1e-4
-
-
 def test_glyphs_distinct():
     task = harness.SyntheticTask(canvas=64, glyph_size=8)
     glyphs = harness.glyph_bitmaps(task)
@@ -200,23 +147,9 @@ def test_make_dataset_empty():
     assert labels.shape == (0,)
 
 
-def test_spectral_profile_conserves_power():
-    rng = np.random.default_rng(31)
-    grid = rng.standard_normal((8, 8, 3))
-    fmap = FeatureMap(8, 8, 3, 1, grid.reshape(64, 3))
-    centers, profile = harness.spectral_profile(fmap)
-    plane = grid.mean(axis=2)
-    # Parseval: total spectral power is N times the sum of squares
-    assert profile.sum() == pytest.approx(64 * (plane**2).sum(), rel=1e-12)
-    assert centers.shape == profile.shape
-    assert (np.diff(centers) > 0).all()
-
-
-def test_spectral_profile_needs_a_grid():
+def test_high_freq_fraction_needs_a_grid():
     fmap = FeatureMap(2, 2, 1, 1, np.ones((4, 1)))
     with pytest.raises(ValueError, match="4x4"):
-        harness.spectral_profile(fmap)
-    with pytest.raises(ValueError):
         harness.high_freq_fraction(fmap)
 
 
@@ -289,5 +222,5 @@ def test_run_verification_all_green():
     lines = []
     failures = harness.run_verification(report=lines.append)
     assert failures == 0
-    assert sum(line.startswith("PASS") for line in lines) == 7
+    assert sum(line.startswith("PASS") for line in lines) == len(harness.CHECKS) == 7
     assert lines[-1].startswith("OK")

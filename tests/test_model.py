@@ -11,7 +11,7 @@ import pytest
 from piip import autodiff as ad
 from piip import merging
 from piip.config import PRESET_NAMES, preset
-from piip.costmodel import count_params
+from piip.costmodel import cost_report
 from piip.model import AdamW, PiipModel
 
 RNG = np.random.default_rng(77011)
@@ -28,7 +28,7 @@ def tiny_image(rng=RNG):
 def test_registry_matches_cost_model(name):
     cfg = preset(name)
     model = PiipModel(cfg, materialize=False)
-    assert model.param_count() == count_params(cfg).total_params
+    assert model.param_count() == cost_report(cfg).total_params
 
 
 @pytest.mark.parametrize("name", ["piip-tiny-test", "piip-tsb-toy", "piip-sbl-toy"])
