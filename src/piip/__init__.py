@@ -25,9 +25,9 @@ from .config import (
     render_config,
     validate,
 )
+from .branches import FeatureMap
 from .costmodel import CostReport, cost_delta, cost_report
-from .model import AdamW, ForwardResult, PiipModel
-from .primitives import FeatureMap
+from .model import AdamW, Forward, PiipModel
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,7 @@ __all__ = [
     "ConfigError",
     "CostReport",
     "FeatureMap",
-    "ForwardResult",
+    "Forward",
     "InteractionSchedule",
     "MergeMode",
     "ParseError",

@@ -14,7 +14,7 @@ equivalent to one uninterrupted forward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,15 +26,29 @@ from .params import ParamSpec
 Params = dict[str, Var]
 
 
-@dataclass
-class BranchState:
-    """Tokens of one branch mid-forward, plus their grid geometry."""
+@dataclass(frozen=True)
+class FeatureMap:
+    """Tokens of one branch (``branch_id`` 0: the merged map) and their grid.
 
-    tokens: Var  # [..., grid_h * grid_w, dim]
+    ``tokens`` is ``[..., grid_h * grid_w, dim]`` in row-major grid order: a
+    ``Var`` inside ``PiipModel.graph_forward``, an array in ``forward``'s output.
+    """
+
+    tokens: Var | np.ndarray
     grid_h: int
     grid_w: int
-    dim: int
     branch_id: int
+
+    @property
+    def dim(self) -> int:
+        return self.tokens.shape[-1]
+
+    def as_grid(self) -> Var | np.ndarray:
+        """The tokens reshaped to ``[..., grid_h, grid_w, dim]``."""
+        shape = self.tokens.shape[:-2] + (self.grid_h, self.grid_w, self.dim)
+        if isinstance(self.tokens, Var):
+            return ad.reshape(self.tokens, shape)
+        return self.tokens.reshape(shape)
 
 
 class PatchEmbed:
@@ -158,7 +172,7 @@ class TransformerBlock:
             out = ad.crop_grid(out, gh, gw)
         return ad.reshape(out, lead + (n, d))
 
-    def forward(self, P: Params, state: BranchState) -> BranchState:
+    def forward(self, P: Params, state: FeatureMap) -> FeatureMap:
         pre = self.prefix
         x = state.tokens
         h = ad.layer_norm_op(x, P[f"{pre}.ln1_g"], P[f"{pre}.ln1_b"])
@@ -172,8 +186,7 @@ class TransformerBlock:
         m = ad.linear_op(m, P[f"{pre}.mlp1_w"], P[f"{pre}.mlp1_b"])
         m = ad.gelu_op(m)
         m = ad.linear_op(m, P[f"{pre}.mlp2_w"], P[f"{pre}.mlp2_b"])
-        x = ad.add(x, m)
-        return BranchState(x, state.grid_h, state.grid_w, state.dim, state.branch_id)
+        return replace(state, tokens=ad.add(x, m))
 
 
 class ConvBlock:
@@ -200,20 +213,16 @@ class ConvBlock:
         ps.declare(f"{pre}.pw2_b", (d,), "zeros")
         ps.declare(f"{pre}.scale", (d,), "zeros")
 
-    def forward(self, P: Params, state: BranchState) -> BranchState:
+    def forward(self, P: Params, state: FeatureMap) -> FeatureMap:
         pre = self.prefix
-        gh, gw, d = state.grid_h, state.grid_w, state.dim
         x = state.tokens
-        lead = x.shape[:-2]
-        grid = ad.reshape(x, lead + (gh, gw, d))
-        y = ad.depthwise_conv_op(grid, P[f"{pre}.dw_k"], P[f"{pre}.dw_b"])
+        y = ad.depthwise_conv_op(state.as_grid(), P[f"{pre}.dw_k"], P[f"{pre}.dw_b"])
         y = ad.layer_norm_op(y, P[f"{pre}.ln_g"], P[f"{pre}.ln_b"])
         y = ad.linear_op(y, P[f"{pre}.pw1_w"], P[f"{pre}.pw1_b"])
         y = ad.gelu_op(y)
         y = ad.linear_op(y, P[f"{pre}.pw2_w"], P[f"{pre}.pw2_b"])
         y = ad.mul(y, P[f"{pre}.scale"])
-        out = ad.add(x, ad.reshape(y, lead + (gh * gw, d)))
-        return BranchState(out, gh, gw, d, state.branch_id)
+        return replace(state, tokens=ad.add(x, ad.reshape(y, x.shape)))
 
 
 class Branch:
@@ -237,15 +246,15 @@ class Branch:
         for block in self.blocks:
             block.declare(ps)
 
-    def embed_forward(self, P: Params, image: Var) -> BranchState:
+    def embed_forward(self, P: Params, image: Var) -> FeatureMap:
         """Tokens of ``image`` [..., H, W, 3], resized to this branch's resolution."""
         res = self.spec.resolution
         if image.shape[-3:-1] != (res, res):
             image = ad.bilinear_resize_op(image, res, res)
         tokens, gh, gw = self.embed.forward(P, image)
-        return BranchState(tokens, gh, gw, self.spec.dim, self.index)
+        return FeatureMap(tokens, gh, gw, self.index)
 
-    def segment(self, P: Params, state: BranchState, from_block: int, to_block: int) -> BranchState:
+    def segment(self, P: Params, state: FeatureMap, from_block: int, to_block: int) -> FeatureMap:
         """Apply blocks [from_block, to_block), 0-based over the stack."""
         if not 0 <= from_block <= to_block <= len(self.blocks):
             raise ValueError(

@@ -57,11 +57,8 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
 
 
 def _cmd_train_toy(args: argparse.Namespace) -> int:
-    cfg = _load(args.config)
-    resolutions = tuple(b.resolution for b in cfg.branches)
     _, metrics = harness.train_toy(
-        cfg,
-        config_id=explorer.config_id(resolutions),
+        _load(args.config),
         steps=args.steps,
         n_samples=args.samples,
         batch_size=args.batch,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -166,8 +167,8 @@ def validate(cfg: PyramidConfig) -> PyramidConfig:
             raise ValidationError(
                 f"{where}: resolution {b.resolution} smaller than one patch ({b.patch_size})"
             )
-        if b.mlp_ratio <= 0:
-            raise ValidationError(f"{where}: mlp_ratio must be positive")
+        if not 0 < b.mlp_ratio < math.inf:
+            raise ValidationError(f"{where}: mlp_ratio must be positive and finite")
         if b.arch is Arch.TRANSFORMER:
             if b.heads < 1 or b.dim % b.heads != 0:
                 raise ValidationError(
@@ -207,8 +208,8 @@ def validate(cfg: PyramidConfig) -> PyramidConfig:
         )
     if sched.deform_points < 1:
         raise ValidationError("interactions: deform_points must be >= 1")
-    if sched.ffn_ratio <= 0:
-        raise ValidationError("interactions: ffn_ratio must be positive")
+    if not 0 < sched.ffn_ratio < math.inf:
+        raise ValidationError("interactions: ffn_ratio must be positive and finite")
     if not 0 < sched.deform_ratio <= 1:
         raise ValidationError("interactions: deform_ratio must be in (0, 1]")
     n = len(cfg.branches)

@@ -31,7 +31,6 @@ from .config import (
     ffn_hidden,
     validate,
 )
-from .merging import group_count
 
 
 @dataclass(frozen=True)

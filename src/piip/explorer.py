@@ -11,9 +11,9 @@ A sweep spec is a small INI file:
 
 Tables are lists of ordered dicts. CSV output uses RFC-4180 quoting with
 one column per key; list-valued cells (branch resolutions) are rendered
-``128x256x512`` so they stay unquoted and re-parse exactly. The structured
-format is JSON with a ``schema`` tag and is validated by the shipped
-``schemas/sweep.json``.
+``128x256x512`` (one resolution as ``224x``) so they stay unquoted and
+re-parse exactly. The structured format is JSON with a ``schema`` tag and is
+validated by the shipped ``schemas/sweep.json``.
 """
 
 from __future__ import annotations
@@ -232,15 +232,15 @@ def pareto_front(rows: list[Row], cost_col: str, quality_col: str) -> list[Row]:
 # table emit / parse
 # ---------------------------------------------------------------------------
 
-_RES_LIST = re.compile(r"^\d+(x\d+)+$")
-_INT = re.compile(r"^-?\d+$")
+_RES_LIST = re.compile(r"[0-9]+(x[0-9]+)+|[0-9]+x")
+_INT = re.compile(r"-?[0-9]+")
 
 
 def _format_cell(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (list, tuple)):
-        return "x".join(str(v) for v in value)
+        return "x".join(str(v) for v in value) + ("x" if len(value) == 1 else "")
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -251,10 +251,10 @@ def _parse_cell(text: str) -> object:
         return True
     if text == "false":
         return False
-    if _INT.match(text):
+    if _INT.fullmatch(text):
         return int(text)
-    if _RES_LIST.match(text):
-        return [int(p) for p in text.split("x")]
+    if _RES_LIST.fullmatch(text):
+        return [int(p) for p in text.split("x") if p]
     try:
         return float(text)
     except ValueError:
@@ -265,10 +265,11 @@ def render_csv(rows: list[Row], columns: list[str] | None = None) -> str:
     if columns is None:
         columns = list(rows[0]) if rows else []
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_format_cell(row[c]) for c in columns])
+    plain = csv.writer(buf, lineterminator="\n")
+    # with a "\n" terminator only QUOTE_ALL quotes a "\r", which the reader needs
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for cells in [columns] + [[_format_cell(row[c]) for c in columns] for row in rows]:
+        (quoted if any("\r" in c for c in cells) else plain).writerow(cells)
     return buf.getvalue()
 
 

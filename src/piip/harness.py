@@ -26,11 +26,12 @@ import numpy as np
 
 from . import autodiff as ad
 from . import explorer
+from .branches import FeatureMap
 from .config import PRESET_NAMES, PyramidConfig, parse_config, preset, render_config
 from .costmodel import cost_report
 from .interaction import DeformableCrossAttention
 from .model import AdamW, PiipModel
-from .primitives import FeatureMap, bilinear_resize, bilinear_sample, reference_points
+from .primitives import bilinear_resize, bilinear_sample, reference_points
 
 
 # ---------------------------------------------------------------------------
@@ -360,25 +361,25 @@ def make_dataset(
 
 def train_toy(
     cfg: PyramidConfig,
-    config_id: str,
     steps: int = 2000,
     n_samples: int = 512,
     batch_size: int = 16,
     lr: float = 1e-3,
-    weight_decay: float = 0.05,
     stop_acc: float | None = None,
 ) -> tuple[PiipModel, list[dict]]:
     """Overfit the glyph task; returns the trained model and per-step metrics.
 
-    ``stop_acc`` ends the run once mean batch accuracy over the last 100
-    steps reaches it. The cosine schedule keeps its ``steps``-long shape, so
-    a stopped run is bitwise a prefix of the full one.
+    Each metrics row carries the config's ``explorer.config_id``. ``stop_acc``
+    ends the run once mean batch accuracy over the last 100 steps reaches it.
+    The cosine schedule keeps its ``steps``-long shape, so a stopped run is
+    bitwise a prefix of the full one.
     """
     model = PiipModel(cfg)
     task = task_for(cfg)
     images, labels = make_dataset(task, n_samples)
     rng = np.random.default_rng(cfg.seed + 1)
-    opt = AdamW(model.params, lr=lr, weight_decay=weight_decay)
+    opt = AdamW(model.params, lr=lr)
+    config_id = explorer.config_id(tuple(b.resolution for b in cfg.branches))
     metrics = []
     for step in range(1, steps + 1):
         idx = rng.choice(n_samples, size=batch_size, replace=False)
@@ -402,12 +403,11 @@ def train_accuracy(model: PiipModel, images: np.ndarray, labels: np.ndarray) -> 
     """
     if model.head is None:
         raise ValueError("train_accuracy needs a classification-mode model")
-    P = model._wrap(needs_grad=False)
     correct = 0
     for start in range(0, len(images), ACCURACY_BATCH):
         stop = start + ACCURACY_BATCH
-        logits = model.graph_forward(images[start:stop], P).logits
-        correct += int(np.sum(np.argmax(logits.value, axis=-1) == labels[start:stop]))
+        logits = model.forward(images[start:stop]).logits
+        correct += int(np.sum(np.argmax(logits, axis=-1) == labels[start:stop]))
     return correct / len(images)
 
 
@@ -506,7 +506,7 @@ def check_zero_gate_identity() -> Verdict:
                 branch.segment(P, branch.embed_forward(P, img_var), 0, depth).tokens.value,
                 state.tokens.value,
             )
-            for branch, state in zip(model.branches, graph.branch_states)
+            for branch, state in zip(model.branches, graph.branch_features)
         )
     elapsed = time.perf_counter() - t0
     ok = identical == 10 and elapsed < 30.0

@@ -16,12 +16,13 @@ accumulates them additively in pair order.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .branches import BranchState, Params
+from .branches import FeatureMap, Params
 from .config import (
     AttentionImpl,
     InteractionSchedule,
@@ -181,7 +182,7 @@ class InteractionDirection:
         ps.declare(f"{pre}.gamma", (d,), "zeros")
         ps.declare(f"{pre}.tau", (d,), "zeros")
 
-    def forward(self, P: Params, dst: BranchState, src: BranchState) -> Var:
+    def forward(self, P: Params, dst: FeatureMap, src: FeatureMap) -> Var:
         """New tokens for the destination branch (same shape as dst.tokens)."""
         pre = self.prefix
         reconciled = ad.linear_op(src.tokens, P[f"{pre}.fc_w"], P[f"{pre}.fc_b"])
@@ -228,7 +229,7 @@ class InteractionUnit:
             direction.declare(ps)
 
     def forward(
-        self, P: Params, states: dict[int, BranchState]
+        self, P: Params, states: dict[int, FeatureMap]
     ) -> list[tuple[int, Var]]:
         """Per-direction updated tokens, computed from pre-update states."""
         out = []
@@ -254,8 +255,8 @@ def build_interaction_units(
 
 
 def apply_interaction_point(
-    P: Params, states: list[BranchState], units: list[InteractionUnit]
-) -> list[BranchState]:
+    P: Params, states: list[FeatureMap], units: list[InteractionUnit]
+) -> list[FeatureMap]:
     """Run every unit against the incoming states, then apply all updates.
 
     Each unit sees the features as they were *before* this interaction point;
@@ -268,7 +269,4 @@ def apply_interaction_point(
         for dst, updated in unit.forward(P, by_id):
             delta = ad.sub(updated, by_id[dst].tokens)
             new_tokens[dst] = ad.add(new_tokens[dst], delta)
-    return [
-        BranchState(new_tokens[s.branch_id], s.grid_h, s.grid_w, s.dim, s.branch_id)
-        for s in states
-    ]
+    return [replace(s, tokens=new_tokens[s.branch_id]) for s in states]

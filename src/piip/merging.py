@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import autodiff as ad
 from .autodiff import Var
-from .branches import BranchState, Params
+from .branches import FeatureMap, Params
 from .config import ProjStyle, PyramidConfig
 from .params import ParamSpec
 
@@ -69,15 +69,13 @@ class MergeModule:
         y = ad.linear_op(grid, P[f"{pre}.lin_w"], P[f"{pre}.lin_b"])
         return ad.group_norm_op(y, groups, P[f"{pre}.gn_g"], P[f"{pre}.gn_b"])
 
-    def forward(self, P: Params, states: list[BranchState]) -> Var:
+    def forward(self, P: Params, states: list[FeatureMap]) -> Var:
         """Merged [..., H, W, D] map on the largest grid at the widest branch's width."""
         th, tw = self.target_grid
         total: Var | None = None
         for state in states:
             j = state.branch_id
-            lead = state.tokens.shape[:-2]
-            grid = ad.reshape(state.tokens, lead + (state.grid_h, state.grid_w, state.dim))
-            proj = self._project(P, j, grid)
+            proj = self._project(P, j, state.as_grid())
             if (state.grid_h, state.grid_w) != (th, tw):
                 proj = ad.bilinear_resize_op(proj, th, tw)
             w_j = ad.take_index(P["merge.w"], j - 1, 0)  # scalar
@@ -105,13 +103,13 @@ class ClassificationHead:
             ps.declare(f"{pre}.w", (d, self.classes), "zeros")
             ps.declare(f"{pre}.b", (self.classes,), "zeros")
 
-    def branch_logits(self, P: Params, state: BranchState) -> Var:
+    def branch_logits(self, P: Params, state: FeatureMap) -> Var:
         pre = f"head{state.branch_id}"
         pooled = ad.mean_op(state.tokens, axis=-2)  # [..., D]
         pooled = ad.layer_norm_op(pooled, P[f"{pre}.ln_g"], P[f"{pre}.ln_b"])
         return ad.linear_op(pooled, P[f"{pre}.w"], P[f"{pre}.b"])  # [..., classes]
 
-    def forward(self, P: Params, states: list[BranchState]) -> tuple[list[Var], Var]:
+    def forward(self, P: Params, states: list[FeatureMap]) -> tuple[list[Var], Var]:
         per_branch = [self.branch_logits(P, s) for s in states]
         return per_branch, classify(per_branch)
 

@@ -13,13 +13,13 @@ finite-difference harness validates them end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .branches import Branch, BranchState, Params
+from .branches import Branch, FeatureMap, Params
 from .config import (
     MergeMode,
     PyramidConfig,
@@ -29,27 +29,20 @@ from .config import (
 from .interaction import InteractionUnit, apply_interaction_point, build_interaction_units
 from .merging import ClassificationHead, MergeModule
 from .params import ParamSpec, allocate
-from .primitives import FeatureMap
 
 
 @dataclass
-class ForwardGraph:
-    """Differentiable handles of one forward pass."""
+class Forward:
+    """Outputs of one forward pass: ``Var``s from ``graph_forward``, arrays from ``forward``.
 
-    branch_states: list[BranchState]
-    merged: Var | None  # dense mode
-    branch_logits: list[Var] | None  # classification mode
-    logits: Var | None
-
-
-@dataclass
-class ForwardResult:
-    """Plain-array view of one forward pass."""
+    ``merged`` is set in dense mode, ``branch_logits`` and ``logits`` in
+    classification mode; the others are None.
+    """
 
     branch_features: list[FeatureMap]
     merged: FeatureMap | None
-    branch_logits: list[np.ndarray] | None
-    logits: np.ndarray | None
+    branch_logits: list[Var] | list[np.ndarray] | None
+    logits: Var | np.ndarray | None
 
 
 class PiipModel:
@@ -102,23 +95,24 @@ class PiipModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _check_image(self, image: np.ndarray, stacked: bool = False) -> np.ndarray:
+    def _check_image(self, image: np.ndarray) -> np.ndarray:
         image = np.asarray(image, dtype=np.float64)
         r = self.input_resolution
-        if image.shape[-3:] != (r, r, 3) or image.ndim not in ((3, 4) if stacked else (3,)):
+        if image.ndim not in (3, 4) or image.shape[-3:] != (r, r, 3):
             raise ValueError(
-                f"expected input of shape ({r}, {r}, 3) "
-                f"(largest branch resolution){' or a stack of them' if stacked else ''}, "
-                f"got {image.shape}"
+                f"expected input of shape ({r}, {r}, 3) (largest branch resolution) "
+                f"or a stack of them, got {image.shape}"
             )
+        if not np.isfinite(image).all():
+            raise ValueError("input image has non-finite values (NaN or inf)")
         return image
 
-    def graph_forward(self, image: np.ndarray, P: Params) -> ForwardGraph:
+    def graph_forward(self, image: np.ndarray, P: Params) -> Forward:
         """Forward of one image [R, R, 3] or a batch [B, R, R, 3] on parameters ``P``.
 
         Every output carries the batch axis when the input does.
         """
-        img_var = ad.as_var(self._check_image(image, stacked=True))
+        img_var = ad.as_var(self._check_image(image))
         depth = self.config.branches[0].depth
         states = [branch.embed_forward(P, img_var) for branch in self.branches]
         cursor = 0
@@ -133,34 +127,24 @@ class PiipModel:
             branch.segment(P, state, cursor, depth)
             for branch, state in zip(self.branches, states)
         ]
-        merged = None
-        branch_logits = None
-        logits = None
         if self.merge is not None:
-            merged = self.merge.forward(P, states)
-        if self.head is not None:
-            branch_logits, logits = self.head.forward(P, states)
-        return ForwardGraph(states, merged, branch_logits, logits)
+            grid = self.merge.forward(P, states)
+            th, tw = self.merge.target_grid
+            tokens = ad.reshape(grid, grid.shape[:-3] + (th * tw, grid.shape[-1]))
+            return Forward(states, FeatureMap(tokens, th, tw, 0), None, None)
+        assert self.head is not None
+        branch_logits, logits = self.head.forward(P, states)
+        return Forward(states, None, branch_logits, logits)
 
-    def forward(self, image: np.ndarray) -> ForwardResult:
-        """Plain-array outputs for one [R, R, 3] image; no tape is kept."""
-        graph = self.graph_forward(self._check_image(image), self._wrap(needs_grad=False))
-        return self._materialize_result(graph)
-
-    def _materialize_result(self, graph: ForwardGraph) -> ForwardResult:
-        feats = [
-            FeatureMap(s.grid_h, s.grid_w, s.dim, s.branch_id, s.tokens.value)
-            for s in graph.branch_states
-        ]
-        merged = None
-        if graph.merged is not None:
-            mh, mw, md = graph.merged.shape
-            merged = FeatureMap(mh, mw, md, 0, graph.merged.value.reshape(mh * mw, md))
-        branch_logits = (
-            [v.value for v in graph.branch_logits] if graph.branch_logits is not None else None
+    def forward(self, image: np.ndarray) -> Forward:
+        """Plain-array outputs for one [R, R, 3] image or a [B, R, R, 3] stack; no tape is kept."""
+        g = self.graph_forward(image, self._wrap(needs_grad=False))
+        return Forward(
+            [replace(f, tokens=f.tokens.value) for f in g.branch_features],
+            replace(g.merged, tokens=g.merged.tokens.value) if g.merged is not None else None,
+            [v.value for v in g.branch_logits] if g.branch_logits is not None else None,
+            g.logits.value if g.logits is not None else None,
         )
-        logits = graph.logits.value if graph.logits is not None else None
-        return ForwardResult(feats, merged, branch_logits, logits)
 
     # -- gradients ---------------------------------------------------------
 
@@ -169,8 +153,8 @@ class PiipModel:
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Exact gradients of ``loss_fn(graph)`` w.r.t. every parameter.
 
-        ``loss_fn`` maps a :class:`ForwardGraph` to a scalar ``Var`` built
-        from :mod:`piip.autodiff` ops.
+        ``loss_fn`` maps ``graph_forward``'s :class:`Forward` to a scalar
+        ``Var`` built from :mod:`piip.autodiff` ops.
         """
         P = self._wrap(needs_grad=True)
         loss = loss_fn(self.graph_forward(image, P))
@@ -223,6 +207,8 @@ class PiipModel:
                 want = self.param_spec.decls[name].shape
                 if arr.shape != want:
                     raise ValueError(f"weight {name!r} has shape {arr.shape}, expected {want}")
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"weight {name!r} has non-finite values (NaN or inf)")
                 loaded[name] = arr
         self.params = loaded
 

@@ -28,31 +28,6 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 GROUP_AXES = (-4, -3, -1)
 
 
-@dataclass(frozen=True)
-class FeatureMap:
-    """Tokens of one branch plus the grid geometry they were lifted from.
-
-    tokens: [grid_h * grid_w, dim], row-major over the grid.
-    """
-
-    grid_h: int
-    grid_w: int
-    dim: int
-    branch_id: int
-    tokens: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.tokens.shape != (self.grid_h * self.grid_w, self.dim):
-            raise ValueError(
-                f"FeatureMap tokens shape {self.tokens.shape} does not match "
-                f"grid {self.grid_h}x{self.grid_w} with dim {self.dim}"
-            )
-
-    def as_grid(self) -> np.ndarray:
-        """Return the tokens reshaped to [grid_h, grid_w, dim]."""
-        return self.tokens.reshape(self.grid_h, self.grid_w, self.dim)
-
-
 def standardize(
     x: np.ndarray, axes: tuple[int, ...], eps: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -34,7 +34,6 @@ from piip.config import (
     preset,
 )
 from piip.costmodel import cost_report
-from piip.primitives import FeatureMap
 
 TINY = preset("piip-tiny-test")
 
@@ -122,9 +121,7 @@ def test_criterion_06_registry_self_consistency(criterion):
 
 def test_criterion_07_toy_trainability(criterion):
     t0 = time.perf_counter()
-    model, metrics = harness.train_toy(
-        TINY, "r16-32-64", steps=MAX_STEPS, stop_acc=STOP_ACC
-    )
+    model, metrics = harness.train_toy(TINY, steps=MAX_STEPS, stop_acc=STOP_ACC)
     task = harness.task_for(TINY)
     images, labels = harness.make_dataset(task, 512)
     acc = harness.train_accuracy(model, images, labels)
@@ -238,11 +235,7 @@ def test_criterion_09_kernel_oracles(criterion):
 def test_criterion_10_spectral_split_soft(criterion):
     t0 = time.perf_counter()
     model, metrics = harness.train_toy(
-        SPECTRAL_CFG,
-        "r32-64",
-        steps=SPECTRAL_STEPS,
-        n_samples=256,
-        stop_acc=0.95,
+        SPECTRAL_CFG, steps=SPECTRAL_STEPS, n_samples=256, stop_acc=0.95
     )
     task = harness.task_for(SPECTRAL_CFG)
     train_images, train_labels = harness.make_dataset(task, 256)
@@ -250,11 +243,7 @@ def test_criterion_10_spectral_split_soft(criterion):
     test_images, _ = harness.make_dataset(task, 64, seed=777)
     fractions = [[], []]
     for image in test_images:
-        graph = model.graph_forward(image, model._wrap(needs_grad=False))
-        for idx, state in enumerate(graph.branch_states):
-            fmap = FeatureMap(
-                state.grid_h, state.grid_w, state.dim, idx + 1, state.tokens.value
-            )
+        for idx, fmap in enumerate(model.forward(image).branch_features):
             fractions[idx].append(harness.high_freq_fraction(fmap))
     low = float(np.mean(fractions[0]))
     high = float(np.mean(fractions[1]))

@@ -7,7 +7,7 @@ import pytest
 
 from piip import autodiff as ad
 from piip import harness
-from piip.branches import Branch, BranchState
+from piip.branches import Branch, FeatureMap
 from piip.config import (
     Arch,
     AttentionKind,
@@ -75,7 +75,7 @@ def branch_case(spec, grid):
     gh, gw = grid
 
     def block(P, xs):
-        state = BranchState(xs[0], gh, gw, spec.dim, 1)
+        state = FeatureMap(xs[0], gh, gw, 1)
         return branch.segment(P, state, 0, spec.depth).tokens
 
     return block, params
@@ -149,7 +149,7 @@ def test_merge_batch(style):
     params = random_params(merge.declare, 8)
 
     def layer(P, xs):
-        states = [BranchState(xs[0], 2, 2, 12, 1), BranchState(xs[1], 4, 4, 8, 2)]
+        states = [FeatureMap(xs[0], 2, 2, 1), FeatureMap(xs[1], 4, 4, 2)]
         return merge.forward(P, states)
 
     inputs = [RNG.standard_normal((B, 4, 12)), RNG.standard_normal((B, 16, 8))]
@@ -161,7 +161,7 @@ def test_classification_heads_batch():
     params = random_params(head.declare, 9)
 
     def layer(P, xs):
-        states = [BranchState(xs[0], 2, 2, 12, 1), BranchState(xs[1], 4, 4, 8, 2)]
+        states = [FeatureMap(xs[0], 2, 2, 1), FeatureMap(xs[1], 4, 4, 2)]
         return head.forward(P, states)[1]
 
     inputs = [RNG.standard_normal((B, 4, 12)), RNG.standard_normal((B, 16, 8))]
@@ -204,9 +204,9 @@ def test_batched_graph_forward_matches_forward():
     rng = np.random.default_rng(12)
     harness.randomize_gates(model, rng, scale=0.3)
     images = rng.random((2, 64, 64, 3))
-    graph = model.graph_forward(images, model._wrap(needs_grad=False))
+    stacked = model.forward(images)
     for b, image in enumerate(images):
         single = model.forward(image)
-        assert rel_err(graph.logits.value[b], single.logits) <= REL
-        for state, feat in zip(graph.branch_states, single.branch_features):
-            assert rel_err(state.tokens.value[b], feat.tokens) <= REL
+        assert rel_err(stacked.logits[b], single.logits) <= REL
+        for feat_b, feat in zip(stacked.branch_features, single.branch_features):
+            assert rel_err(feat_b.tokens[b], feat.tokens) <= REL

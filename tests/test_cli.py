@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from piip import explorer
+from piip import explorer, harness
 from piip.cli import main
 from piip.config import preset, render_config
 
@@ -150,10 +150,15 @@ def test_piip_seed_env_changes_training(tmp_path, monkeypatch):
     assert rows_a != rows_b
 
 
-def test_verify_subcommand(capsys):
-    assert main(["verify"]) == 0
-    out = capsys.readouterr().out
-    assert "7/7" in out
+def test_verify_subcommand(monkeypatch, capsys):
+    verdicts = [harness.Verdict("stub pass", True, "a"), harness.Verdict("stub fail", False, "b")]
+    monkeypatch.setattr(harness, "CHECKS", tuple((lambda v=v: v) for v in verdicts))
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS  stub pass  [a]",
+        "FAIL  stub fail  [b]",
+        "FAILED: 1/2 verification checks passed",
+    ]
 
 
 def test_usage_error_on_missing_subcommand():

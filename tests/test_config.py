@@ -1,6 +1,8 @@
 """Config parsing, rendering, validation, and schedule helpers."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from piip import config as cf
 
@@ -202,3 +204,76 @@ def test_piip_b_preset_shape():
 def test_unknown_preset():
     with pytest.raises(cf.ConfigError, match="piip-xxl"):
         cf.preset("piip-xxl")
+
+
+RATIOS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw):
+    """Configs ``validate`` accepts, covering every field ``render_config`` writes."""
+    n = draw(st.integers(1, 4), label="branches")
+    depth = draw(st.integers(1, 6), label="depth")
+    dims = sorted(draw(st.lists(st.integers(1, 24), min_size=n, max_size=n)), reverse=True)
+    branches = []
+    resolution = 1
+    for dim in dims:
+        patch = draw(st.integers(1, 4))
+        least = -(-resolution // patch)  # non-decreasing resolutions, whole patches
+        resolution = patch * draw(st.integers(least, least + 4))
+        common = dict(depth=depth, dim=dim, patch_size=patch, resolution=resolution,
+                      mlp_ratio=draw(RATIOS))
+        if draw(st.booleans()):
+            branches.append(cf.BranchSpec(heads=draw(st.integers(-2, 4)), arch=cf.Arch.CONVNET,
+                                          **common))
+            continue
+        heads = draw(st.sampled_from([h for h in range(1, dim + 1) if dim % h == 0]))
+        window = draw(st.one_of(st.none(), st.integers(1, 4).map(lambda s: s * s)))
+        mode = cf.AttentionKind.GLOBAL if window is None else cf.AttentionKind.WINDOWED
+        branches.append(cf.BranchSpec(heads=heads, attention_mode=mode, window_tokens=window,
+                                      **common))
+    nonadjacent = draw(st.booleans())
+    pairs = [(s, d) for s in range(1, n + 1) for d in range(1, n + 1)
+             if s != d and (nonadjacent or abs(s - d) == 1)]
+    schedule = cf.InteractionSchedule(
+        count=draw(st.integers(0, depth)),
+        directions=tuple(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else (),
+        deform_heads=draw(st.one_of(st.none(), st.integers(1, 4))),
+        deform_points=draw(st.integers(1, 6)),
+        ffn_ratio=draw(RATIOS),
+        deform_ratio=draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))),
+        attention_impl=draw(st.sampled_from(cf.AttentionImpl)),
+        allow_nonadjacent=nonadjacent,
+    )
+    cfg = cf.PyramidConfig(
+        branches=tuple(branches),
+        interactions=schedule,
+        merge_mode=draw(st.sampled_from(cf.MergeMode)),
+        merge_proj=draw(st.sampled_from(cf.ProjStyle)),
+        classes=draw(st.integers(2, 2000)),
+        seed=draw(st.integers(0, 2**63)),
+    )
+    try:
+        cf.validate(cfg)
+    except cf.ValidationError:
+        assume(False)  # interaction heads that do not divide the attention width
+    return cfg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(valid_configs())
+def test_render_parse_round_trip_property(cfg):
+    assert cf.parse_config(cf.render_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "field, anchor",
+    [("mlp_ratio", "resolution = 16"), ("ffn_ratio", "count = 2")],
+    ids=["mlp_ratio", "ffn_ratio"],
+)
+def test_non_finite_ratios_rejected(field, anchor, value):
+    # a NaN ratio used to pass validation and break the round trip (NaN != NaN)
+    text = MINIMAL.replace(anchor, f"{anchor}\n{field} = {value}")
+    with pytest.raises(cf.ValidationError, match=f"{field} must be positive and finite"):
+        cf.parse_config(text)

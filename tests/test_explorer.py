@@ -1,11 +1,14 @@
 """Sweep, Pareto filtering, and table round trips."""
 
 import json
+import re
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from piip import explorer, harness
 from piip.config import ParseError, ValidationError, preset
@@ -174,6 +177,45 @@ def test_csv_cell_formats():
     lines = text.split("\n")
     assert lines[0] == "config_id,resolutions,params,flops,within_budget"
     assert lines[1] == "r16-32,16x32,10,1.5,false"
+    assert explorer.parse_table(text) == rows
+
+
+def reads_as_value(text):
+    """Whether a text cell reads back as a boolean, a number or a size list."""
+    if text in ("true", "false") or re.fullmatch(r"[0-9]+(x[0-9]+)*x?", text):
+        return True
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+CELLS = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=4),  # resolution lists
+    st.text(st.characters(codec="ascii") | st.sampled_from("é€x,\"\r\n"), max_size=8).filter(
+        lambda t: not reads_as_value(t)
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_csv_round_trip_property(data):
+    columns = data.draw(st.lists(st.text(max_size=6), unique=True, max_size=4), label="columns")
+    row = st.fixed_dictionaries({c: CELLS for c in columns})
+    rows = data.draw(st.lists(row, max_size=4), label="rows")
+    assert explorer.read_table(explorer.render_csv(rows, columns=columns)) == (columns, rows)
+
+
+def test_csv_round_trip_single_resolution():
+    # a one-branch sweep row used to come back with an int for its resolutions
+    rows = [{"config_id": "r224", "resolutions": [224]}]
+    text = explorer.render_csv(rows)
+    assert text == "config_id,resolutions\nr224,224x\n"
     assert explorer.parse_table(text) == rows
 
 

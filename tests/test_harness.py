@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from piip import harness
+from piip.branches import FeatureMap
 from piip.config import preset
 from piip.model import PiipModel
-from piip.primitives import FeatureMap
 
 TINY = preset("piip-tiny-test")
 
@@ -148,21 +148,21 @@ def test_make_dataset_empty():
 
 
 def test_high_freq_fraction_needs_a_grid():
-    fmap = FeatureMap(2, 2, 1, 1, np.ones((4, 1)))
+    fmap = FeatureMap(np.ones((4, 1)), 2, 2, 1)
     with pytest.raises(ValueError, match="4x4"):
         harness.high_freq_fraction(fmap)
 
 
 def test_high_freq_fraction_extremes():
-    const = FeatureMap(8, 8, 2, 1, np.full((64, 2), 3.5))
+    const = FeatureMap(np.full((64, 2), 3.5), 8, 8, 1)
     assert harness.high_freq_fraction(const) == 0.0
 
     i, j = np.mgrid[0:8, 0:8]
     checker = np.where((i + j) % 2 == 0, 1.0, -1.0)
-    fmap = FeatureMap(8, 8, 1, 1, checker.reshape(64, 1))
+    fmap = FeatureMap(checker.reshape(64, 1), 8, 8, 1)
     assert harness.high_freq_fraction(fmap) == pytest.approx(1.0)
 
-    zero = FeatureMap(8, 8, 1, 1, np.zeros((64, 1)))
+    zero = FeatureMap(np.zeros((64, 1)), 8, 8, 1)
     assert harness.high_freq_fraction(zero) == 0.0
 
 
@@ -178,9 +178,7 @@ def test_pareto_oracle_basics():
 
 
 def test_train_toy_smoke():
-    model, metrics = harness.train_toy(
-        TINY, "r16-32-64", steps=4, n_samples=12, batch_size=4
-    )
+    model, metrics = harness.train_toy(TINY, steps=4, n_samples=12, batch_size=4)
     assert isinstance(model, PiipModel)
     assert [m["step"] for m in metrics] == [1, 2, 3, 4]
     assert all(m["config-id"] == "r16-32-64" for m in metrics)
@@ -189,9 +187,7 @@ def test_train_toy_smoke():
 
 
 def test_train_toy_early_stop_checks_every_100_steps():
-    _, metrics = harness.train_toy(
-        TINY, "r16-32-64", steps=120, n_samples=4, batch_size=2, stop_acc=0.0
-    )
+    _, metrics = harness.train_toy(TINY, steps=120, n_samples=4, batch_size=2, stop_acc=0.0)
     assert len(metrics) == 100
 
 
@@ -218,9 +214,36 @@ def test_train_accuracy_equals_per_image_loop():
     assert harness.train_accuracy(model, images, labels) == hits / len(images)
 
 
-def test_run_verification_all_green():
+def stub_checks(*oks):
+    """Stand-ins for ``harness.CHECKS`` whose verdicts are fixed in advance."""
+    return tuple(
+        (lambda v=harness.Verdict(f"stub {i}", ok, "detail"): v) for i, ok in enumerate(oks)
+    )
+
+
+def test_run_verification_all_green(monkeypatch):
+    monkeypatch.setattr(harness, "CHECKS", stub_checks(True, True))
     lines = []
-    failures = harness.run_verification(report=lines.append)
-    assert failures == 0
-    assert sum(line.startswith("PASS") for line in lines) == len(harness.CHECKS) == 7
-    assert lines[-1].startswith("OK")
+    assert harness.run_verification(report=lines.append) == 0
+    assert lines == [
+        "PASS  stub 0  [detail]",
+        "PASS  stub 1  [detail]",
+        "OK: 2/2 verification checks passed",
+    ]
+
+    monkeypatch.setattr(harness, "CHECKS", stub_checks(True, False))
+    lines.clear()
+    assert harness.run_verification(report=lines.append) == 1
+    assert lines == [
+        "PASS  stub 0  [detail]",
+        "FAIL  stub 1  [detail]",
+        "FAILED: 1/2 verification checks passed",
+    ]
+
+
+def test_verify_own_checks_pass():
+    # the five criterion checks run in tests/test_acceptance.py; these two only here
+    assert len(harness.CHECKS) == 7
+    for check in (harness.check_config_round_trip, harness.check_sampling_grid_centers):
+        assert check in harness.CHECKS
+        assert check().ok

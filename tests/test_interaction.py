@@ -1,14 +1,12 @@
 """Interaction units: gating, deformable attention behavior, simultaneity."""
 
 import numpy as np
-import pytest
 
 from piip import autodiff as ad
-from piip.branches import BranchState
+from piip.branches import FeatureMap
 from piip.config import AttentionImpl, InteractionSchedule
 from piip.interaction import (
     DeformableCrossAttention,
-    InteractionDirection,
     apply_interaction_point,
     build_interaction_units,
 )
@@ -22,7 +20,7 @@ def make_states(dims=(16, 8), grids=((2, 2), (4, 4))):
     states = []
     for i, (d, (gh, gw)) in enumerate(zip(dims, grids), start=1):
         tokens = RNG.standard_normal((gh * gw, d))
-        states.append(BranchState(ad.leaf(tokens), gh, gw, d, i))
+        states.append(FeatureMap(ad.leaf(tokens), gh, gw, i))
     return states
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from piip import autodiff as ad
-from piip.branches import BranchState
+from piip.branches import FeatureMap
 from piip.config import (
     BranchSpec,
     InteractionSchedule,
@@ -36,8 +36,8 @@ def build_merge(style=ProjStyle.LINEAR, seed=3):
     merge.declare(ps)
     P = {k: ad.leaf(v) for k, v in allocate(ps, seed).items()}
     states = [
-        BranchState(ad.leaf(RNG.standard_normal((4, 12))), 2, 2, 12, 1),
-        BranchState(ad.leaf(RNG.standard_normal((16, 8))), 4, 4, 8, 2),
+        FeatureMap(ad.leaf(RNG.standard_normal((4, 12))), 2, 2, 1),
+        FeatureMap(ad.leaf(RNG.standard_normal((16, 8))), 4, 4, 2),
     ]
     return merge, P, states
 
@@ -119,8 +119,8 @@ def test_classification_head_averages_branch_logits():
     P["head1.w"] = ad.leaf(RNG.standard_normal((12, 5)))
     P["head2.w"] = ad.leaf(RNG.standard_normal((8, 5)))
     states = [
-        BranchState(ad.leaf(RNG.standard_normal((4, 12))), 2, 2, 12, 1),
-        BranchState(ad.leaf(RNG.standard_normal((16, 8))), 4, 4, 8, 2),
+        FeatureMap(ad.leaf(RNG.standard_normal((4, 12))), 2, 2, 1),
+        FeatureMap(ad.leaf(RNG.standard_normal((16, 8))), 4, 4, 2),
     ]
     per_branch, logits = head.forward(P, states)
     assert logits.shape == (5,)
@@ -138,7 +138,7 @@ def test_branch_logits_hand_computed():
     w = RNG.standard_normal((12, 5))
     P["head1.w"] = ad.leaf(w)
     tokens = RNG.standard_normal((4, 12))
-    state = BranchState(ad.leaf(tokens), 2, 2, 12, 1)
+    state = FeatureMap(ad.leaf(tokens), 2, 2, 1)
     got = head.branch_logits(P, state).value
 
     from piip.primitives import layer_norm

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import warnings
 import weakref
 from pathlib import Path
 
@@ -79,6 +80,20 @@ def test_input_shape_validation():
         model.forward(np.zeros((32, 32, 3)))
     with pytest.raises(ValueError, match="expected input"):
         model.forward(np.zeros((64, 64)))
+    with pytest.raises(ValueError, match="or a stack of them"):
+        model.forward(np.zeros((1, 2, 64, 64, 3)))
+
+
+def test_non_finite_image_raises_instead_of_propagating():
+    model = PiipModel(TINY)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way to the error
+        with pytest.raises(ValueError, match="non-finite"):
+            model.forward(np.full((64, 64, 3), np.nan))
+    stack = np.random.default_rng(0).random((2, 64, 64, 3))  # module RNG left as it was
+    stack[1, 5, 7, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        model.train_step(stack, np.array([0, 1]), AdamW(model.params))
 
 
 def test_save_load_round_trip(tmp_path):
@@ -126,6 +141,17 @@ def test_load_rejects_bad_containers(tmp_path):
         PiipModel(TINY).load_weights(shape_path)
 
 
+def test_load_rejects_non_finite_weights(tmp_path):
+    model = PiipModel(TINY)
+    names = list(model.param_spec.decls)
+    model.params[names[9]][...] = np.nan
+    model.params[names[4]].reshape(-1)[-1] = -np.inf  # the first non-finite tensor
+    path = str(tmp_path / "weights.npz")
+    model.save_weights(path)
+    with pytest.raises(ValueError, match=f"{names[4]!r} has non-finite values"):
+        PiipModel(TINY).load_weights(path)
+
+
 def test_train_step_with_zero_lr_keeps_params():
     model = PiipModel(TINY)
     snapshot = {name: v.copy() for name, v in model.params.items()}
@@ -157,7 +183,7 @@ def test_zero_gates_block_cross_branch_gradients():
     model = PiipModel(TINY)
 
     def loss_fn(graph):
-        t = graph.branch_states[0].tokens
+        t = graph.branch_features[0].tokens
         return ad.mean_op(ad.mul(t, t))
 
     loss, grads = model.parameter_gradients(tiny_image(), loss_fn)

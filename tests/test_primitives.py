@@ -1,7 +1,6 @@
 """Property tests for the numeric kernels against scalar-loop oracles."""
 
 import numpy as np
-import pytest
 from scipy.special import erf
 
 from piip import autodiff as ad
@@ -183,19 +182,6 @@ def test_reference_points_match_oracle():
     for h, w in ((1, 1), (2, 3), (5, 4), (8, 8)):
         got = pr.reference_points(h, w)
         np.testing.assert_array_equal(got, np.array(ref.reference_points_ref(h, w)))
-
-
-def test_feature_map_round_trip():
-    tokens = RNG.standard_normal((12, 5))
-    fmap = pr.FeatureMap(grid_h=3, grid_w=4, dim=5, branch_id=1, tokens=tokens)
-    assert fmap.as_grid().shape == (3, 4, 5)
-    assert np.array_equal(fmap.as_grid().reshape(12, 5), tokens)
-
-
-def test_feature_map_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        pr.FeatureMap(grid_h=3, grid_w=4, dim=5, branch_id=1,
-                      tokens=RNG.standard_normal((11, 5)))
 
 
 def test_single_buffer_kernels_bitwise_equal_one_line_formulas():
