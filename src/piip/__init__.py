@@ -26,7 +26,7 @@ from .config import (
     validate,
 )
 from .branches import FeatureMap
-from .costmodel import CostReport, cost_delta, cost_report
+from .costmodel import CostReport, cost_report
 from .model import AdamW, Forward, PiipModel
 
 __version__ = "0.1.0"
@@ -49,7 +49,6 @@ __all__ = [
     "PyramidConfig",
     "PRESET_NAMES",
     "ValidationError",
-    "cost_delta",
     "cost_report",
     "load_config",
     "parse_config",

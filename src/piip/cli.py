@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import explorer, harness
-from .config import ConfigError, PyramidConfig, PRESET_NAMES
+from .config import PyramidConfig, PRESET_NAMES
 from .costmodel import cost_report
 
 
@@ -123,10 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

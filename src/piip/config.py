@@ -14,9 +14,8 @@ The on-disk format is a flat-sectioned key/value document (INI): one
 from __future__ import annotations
 
 import configparser
-import io
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 
 
@@ -72,11 +71,6 @@ class BranchSpec:
     window_tokens: int | None = None
 
     @property
-    def grid(self) -> tuple[int, int]:
-        g = self.resolution // self.patch_size
-        return (g, g)
-
-    @property
     def tokens(self) -> int:
         g = self.resolution // self.patch_size
         return g * g
@@ -86,8 +80,10 @@ class BranchSpec:
 class InteractionSchedule:
     """How many interaction points there are and which branches talk."""
 
-    count: int
-    directions: tuple[tuple[int, int], ...]  # ordered (src, dst), 1-based
+    count: int = 0
+    # ordered (src, dst), 1-based; parse_config links adjacent branches both
+    # ways when the document gives a count but no directions
+    directions: tuple[tuple[int, int], ...] = ()
     deform_heads: int | None = None  # None: 8 if dim >= 64 else max(1, dim // 8)
     deform_points: int = 4
     ffn_ratio: float = 0.25
@@ -178,8 +174,7 @@ def validate(cfg: PyramidConfig) -> PyramidConfig:
                 wt = b.window_tokens
                 if wt is None or wt < 1:
                     raise ValidationError(f"{where}: windowed attention needs window_tokens")
-                side = int(round(wt**0.5))
-                if side * side != wt:
+                if math.isqrt(wt) ** 2 != wt:
                     raise ValidationError(
                         f"{where}: window_tokens {wt} must be a perfect square"
                     )
@@ -254,82 +249,118 @@ def validate(cfg: PyramidConfig) -> PyramidConfig:
 # text format
 # ---------------------------------------------------------------------------
 
-_BRANCH_KEYS = {
-    "arch",
-    "depth",
-    "dim",
-    "heads",
-    "patch_size",
-    "resolution",
-    "mlp_ratio",
-    "attention_mode",
-}
-_INTERACTION_KEYS = {
-    "count",
-    "directions",
-    "deform_heads",
-    "deform_points",
-    "ffn_ratio",
-    "deform_ratio",
-    "attention_impl",
-    "allow_nonadjacent",
-}
-_MERGE_KEYS = {"mode", "proj", "classes"}
-_PYRAMID_KEYS = {"seed"}
+
+@dataclass(frozen=True)
+class _Key:
+    """One INI key: the literal it holds and the dataclass field(s) it sets."""
+
+    kind: str  # what the literal should be, for the error on a bad one
+    parse: object  # callable: text -> value; raises ValueError on a bad literal
+    render: object = str  # callable: field value(s) -> text
+    fields: tuple[str, ...] = ()  # default: the one field named like the key
 
 
-def _get_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _get_float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(f"[{section}] {key}: expected a number, got {raw!r}") from None
-
-
-def _get_bool(section: str, key: str, raw: str) -> bool:
+def _boolean(raw: str) -> bool:
     low = raw.strip().lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ParseError(f"[{section}] {key}: expected true/false, got {raw!r}")
+    if low not in _BOOLEANS:
+        raise ValueError(raw)
+    return _BOOLEANS[low]
 
 
-def _parse_attention(section: str, raw: str) -> tuple[AttentionKind, int | None]:
+def _attention(raw: str) -> tuple[AttentionKind, int | None]:
     text = raw.strip()
     if text == "global":
         return AttentionKind.GLOBAL, None
     if text.startswith("windowed(") and text.endswith(")"):
-        inner = text[len("windowed(") : -1]
-        return AttentionKind.WINDOWED, _get_int(section, "attention_mode", inner)
-    raise ParseError(
-        f"[{section}] attention_mode: expected 'global' or 'windowed(T)', got {raw!r}"
-    )
+        return AttentionKind.WINDOWED, int(text[len("windowed(") : -1])
+    raise ValueError(raw)
 
 
-def _parse_directions(raw: str) -> tuple[tuple[int, int], ...]:
-    text = raw.strip()
-    if not text:
+def _directions(raw: str) -> tuple[tuple[int, int], ...]:
+    if not raw.strip():
         return ()
-    out: list[tuple[int, int]] = []
-    for part in text.split(","):
-        part = part.strip()
-        if "->" not in part:
-            raise ParseError(f"[interactions] directions: expected 'src->dst', got {part!r}")
-        a, b = part.split("->", 1)
+    # a part without "->" fails to unpack, which raises ValueError like a bad integer
+    return tuple((int(src), int(dst)) for src, dst in (p.split("->", 1) for p in raw.split(",")))
+
+
+def _enum(cls: type[Enum], *names: str) -> _Key:
+    return _Key(" or ".join(repr(m.value) for m in cls), cls, lambda member: member.value, names)
+
+
+_INT = _Key("an integer", int)
+_FLOAT = _Key("a number", float, repr)
+
+# One table per section, INI key -> _Key, in rendered order. A key that is
+# absent from a document leaves its field at the dataclass default.
+_BRANCH_KEYS = {
+    "arch": _enum(Arch),
+    "depth": _INT,
+    "dim": _INT,
+    "heads": _INT,
+    "patch_size": _INT,
+    "resolution": _INT,
+    "mlp_ratio": _FLOAT,
+    "attention_mode": _Key(
+        "'global' or 'windowed(T)'",
+        _attention,
+        lambda mode, tokens: f"windowed({tokens})" if mode is AttentionKind.WINDOWED else "global",
+        ("attention_mode", "window_tokens"),
+    ),
+}
+_INTERACTION_KEYS = {
+    "count": _INT,
+    "directions": _Key(
+        "comma-separated 'src->dst' integer pairs",
+        _directions,
+        lambda pairs: ", ".join(f"{src}->{dst}" for src, dst in pairs),
+    ),
+    "deform_heads": _Key(
+        "an integer or 'auto'",
+        lambda raw: None if raw.strip() == "auto" else int(raw),
+        lambda heads: "auto" if heads is None else str(heads),
+    ),
+    "deform_points": _INT,
+    "ffn_ratio": _FLOAT,
+    "deform_ratio": _FLOAT,
+    "attention_impl": _enum(AttentionImpl),
+    "allow_nonadjacent": _Key("true/false", _boolean, lambda flag: "true" if flag else "false"),
+}
+_MERGE_KEYS = {
+    "mode": _enum(MergeMode, "merge_mode"),
+    "proj": _enum(ProjStyle, "merge_proj"),
+    "classes": _INT,
+}
+_PYRAMID_KEYS = {"seed": _INT}
+_REQUIRED_BRANCH_KEYS = tuple(f.name for f in fields(BranchSpec) if f.default is MISSING)
+
+
+def _read_section(
+    ini: configparser.ConfigParser, section: str, keys: dict[str, _Key]
+) -> dict[str, object]:
+    """The dataclass fields set by the keys of one section (none if it is absent)."""
+    out = {}
+    for key, raw in (ini[section] if ini.has_section(section) else {}).items():
+        if key not in keys:
+            raise ParseError(f"unknown key {key!r} in section [{section}]")
+        codec = keys[key]
         try:
-            out.append((int(a), int(b)))
+            value = codec.parse(raw)
         except ValueError:
-            raise ParseError(
-                f"[interactions] directions: expected 'src->dst' integers, got {part!r}"
-            ) from None
-    return tuple(out)
+            raise ParseError(f"[{section}] {key}: expected {codec.kind}, got {raw!r}") from None
+        names = codec.fields or (key,)
+        out.update(zip(names, value if len(names) > 1 else (value,)))
+    return out
+
+
+def _render_section(section: str, keys: dict[str, _Key], obj: object) -> str:
+    lines = [f"[{section}]"]
+    for key, codec in keys.items():
+        values = (getattr(obj, name) for name in codec.fields or (key,))
+        lines.append(f"{key} = {codec.render(*values)}")
+    return "\n".join(lines) + "\n"
 
 
 def parse_config(text: str) -> PyramidConfig:
@@ -342,31 +373,16 @@ def parse_config(text: str) -> PyramidConfig:
 
     branch_sections: dict[int, str] = {}
     for section in ini.sections():
-        if section == "pyramid":
-            extra = set(ini[section]) - _PYRAMID_KEYS
-            if extra:
-                raise ParseError(f"unknown key {sorted(extra)[0]!r} in section [pyramid]")
-        elif section == "interactions":
-            extra = set(ini[section]) - _INTERACTION_KEYS
-            if extra:
-                raise ParseError(f"unknown key {sorted(extra)[0]!r} in section [interactions]")
-        elif section == "merge":
-            extra = set(ini[section]) - _MERGE_KEYS
-            if extra:
-                raise ParseError(f"unknown key {sorted(extra)[0]!r} in section [merge]")
-        elif section.startswith("branch."):
-            suffix = section[len("branch.") :]
+        if section.startswith("branch."):
             try:
-                idx = int(suffix)
+                idx = int(section[len("branch.") :])
             except ValueError:
                 raise ParseError(f"bad branch section name [{section}]") from None
-            extra = set(ini[section]) - _BRANCH_KEYS
-            if extra:
-                raise ParseError(f"unknown key {sorted(extra)[0]!r} in section [{section}]")
+            if idx in branch_sections:
+                raise ParseError(f"[{section}] repeats [{branch_sections[idx]}]")
             branch_sections[idx] = section
-        else:
+        elif section not in ("pyramid", "interactions", "merge"):
             raise ParseError(f"unknown section [{section}]")
-
     if not branch_sections:
         raise ParseError("config has no [branch.N] sections")
     n = len(branch_sections)
@@ -375,117 +391,36 @@ def parse_config(text: str) -> PyramidConfig:
             f"branch sections must be numbered 1..{n}, got {sorted(branch_sections)}"
         )
 
-    branches: list[BranchSpec] = []
+    branches = []
     for i in range(1, n + 1):
         sec = branch_sections[i]
-        vals = ini[sec]
-        for required in ("depth", "dim", "heads", "patch_size", "resolution"):
-            if required not in vals:
+        spec = _read_section(ini, sec, _BRANCH_KEYS)
+        for required in _REQUIRED_BRANCH_KEYS:
+            if required not in spec:
                 raise ParseError(f"[{sec}] missing required key {required!r}")
-        arch_raw = vals.get("arch", "transformer")
-        try:
-            arch = Arch(arch_raw)
-        except ValueError:
-            raise ParseError(f"[{sec}] arch: unknown value {arch_raw!r}") from None
-        mode, window_tokens = _parse_attention(sec, vals.get("attention_mode", "global"))
-        branches.append(
-            BranchSpec(
-                depth=_get_int(sec, "depth", vals["depth"]),
-                dim=_get_int(sec, "dim", vals["dim"]),
-                heads=_get_int(sec, "heads", vals["heads"]),
-                patch_size=_get_int(sec, "patch_size", vals["patch_size"]),
-                resolution=_get_int(sec, "resolution", vals["resolution"]),
-                arch=arch,
-                mlp_ratio=_get_float(sec, "mlp_ratio", vals.get("mlp_ratio", "4.0")),
-                attention_mode=mode,
-                window_tokens=window_tokens,
-            )
-        )
+        branches.append(BranchSpec(**spec))
 
-    ivals = ini["interactions"] if ini.has_section("interactions") else {}
-    count = _get_int("interactions", "count", ivals.get("count", "0"))
-    if "directions" in ivals:
-        directions = _parse_directions(ivals["directions"])
-    else:
-        directions = default_directions(n) if count > 0 else ()
-    dh_raw = ivals.get("deform_heads", "auto").strip()
-    deform_heads = None if dh_raw == "auto" else _get_int("interactions", "deform_heads", dh_raw)
-    impl_raw = ivals.get("attention_impl", "deformable")
-    try:
-        impl = AttentionImpl(impl_raw)
-    except ValueError:
-        raise ParseError(f"[interactions] attention_impl: unknown value {impl_raw!r}") from None
-    schedule = InteractionSchedule(
-        count=count,
-        directions=directions,
-        deform_heads=deform_heads,
-        deform_points=_get_int("interactions", "deform_points", ivals.get("deform_points", "4")),
-        ffn_ratio=_get_float("interactions", "ffn_ratio", ivals.get("ffn_ratio", "0.25")),
-        deform_ratio=_get_float("interactions", "deform_ratio", ivals.get("deform_ratio", "0.5")),
-        attention_impl=impl,
-        allow_nonadjacent=_get_bool(
-            "interactions", "allow_nonadjacent", ivals.get("allow_nonadjacent", "false")
-        ),
-    )
-
-    mvals = ini["merge"] if ini.has_section("merge") else {}
-    mode_raw = mvals.get("mode", "dense")
-    try:
-        merge_mode = MergeMode(mode_raw)
-    except ValueError:
-        raise ParseError(f"[merge] mode: unknown value {mode_raw!r}") from None
-    proj_raw = mvals.get("proj", "conv3x3")
-    try:
-        merge_proj = ProjStyle(proj_raw)
-    except ValueError:
-        raise ParseError(f"[merge] proj: unknown value {proj_raw!r}") from None
-
-    pvals = ini["pyramid"] if ini.has_section("pyramid") else {}
+    given = _read_section(ini, "interactions", _INTERACTION_KEYS)
+    schedule = InteractionSchedule(**given)
+    if "directions" not in given and schedule.count > 0:  # interaction points need links
+        schedule = replace(schedule, directions=default_directions(n))
     cfg = PyramidConfig(
         branches=tuple(branches),
         interactions=schedule,
-        merge_mode=merge_mode,
-        merge_proj=merge_proj,
-        classes=_get_int("merge", "classes", mvals.get("classes", "10")),
-        seed=_get_int("pyramid", "seed", pvals.get("seed", "0")),
+        **_read_section(ini, "merge", _MERGE_KEYS),
+        **_read_section(ini, "pyramid", _PYRAMID_KEYS),
     )
     return validate(cfg)
 
 
 def render_config(cfg: PyramidConfig) -> str:
     """Serialize a config to its text form (deterministic key order)."""
-    out = io.StringIO()
-    out.write("[pyramid]\n")
-    out.write(f"seed = {cfg.seed}\n\n")
+    sections = [_render_section("pyramid", _PYRAMID_KEYS, cfg)]
     for i, b in enumerate(cfg.branches, start=1):
-        out.write(f"[branch.{i}]\n")
-        out.write(f"arch = {b.arch.value}\n")
-        out.write(f"depth = {b.depth}\n")
-        out.write(f"dim = {b.dim}\n")
-        out.write(f"heads = {b.heads}\n")
-        out.write(f"patch_size = {b.patch_size}\n")
-        out.write(f"resolution = {b.resolution}\n")
-        out.write(f"mlp_ratio = {b.mlp_ratio!r}\n")
-        if b.attention_mode is AttentionKind.WINDOWED:
-            out.write(f"attention_mode = windowed({b.window_tokens})\n")
-        else:
-            out.write("attention_mode = global\n")
-        out.write("\n")
-    sched = cfg.interactions
-    out.write("[interactions]\n")
-    out.write(f"count = {sched.count}\n")
-    out.write(f"directions = {', '.join(f'{s}->{d}' for s, d in sched.directions)}\n")
-    out.write(f"deform_heads = {'auto' if sched.deform_heads is None else sched.deform_heads}\n")
-    out.write(f"deform_points = {sched.deform_points}\n")
-    out.write(f"ffn_ratio = {sched.ffn_ratio!r}\n")
-    out.write(f"deform_ratio = {sched.deform_ratio!r}\n")
-    out.write(f"attention_impl = {sched.attention_impl.value}\n")
-    out.write(f"allow_nonadjacent = {'true' if sched.allow_nonadjacent else 'false'}\n\n")
-    out.write("[merge]\n")
-    out.write(f"mode = {cfg.merge_mode.value}\n")
-    out.write(f"proj = {cfg.merge_proj.value}\n")
-    out.write(f"classes = {cfg.classes}\n")
-    return out.getvalue()
+        sections.append(_render_section(f"branch.{i}", _BRANCH_KEYS, b))
+    sections.append(_render_section("interactions", _INTERACTION_KEYS, cfg.interactions))
+    sections.append(_render_section("merge", _MERGE_KEYS, cfg))
+    return "\n".join(sections)
 
 
 def load_config(path: str) -> PyramidConfig:
@@ -535,7 +470,7 @@ def _presets() -> dict[str, PyramidConfig]:
     )
     vit_b = PyramidConfig(
         branches=(_transformer_branch(12, 768, 12, 224),),
-        interactions=InteractionSchedule(count=0, directions=()),
+        interactions=InteractionSchedule(),
         merge_mode=MergeMode.CLASSIFICATION,
         merge_proj=ProjStyle.LINEAR,
         classes=1000,

@@ -209,37 +209,3 @@ def cost_report(cfg: PyramidConfig) -> CostReport:
     entries.append(CostEntry("merging", mp, mf))
     return CostReport(tuple(entries))
 
-
-@dataclass(frozen=True)
-class DeltaEntry:
-    name: str
-    params: int
-    flops: int
-    params_pct: float
-    flops_pct: float
-
-
-def cost_delta(a: PyramidConfig, b: PyramidConfig) -> tuple[DeltaEntry, ...]:
-    """Component-wise cost difference b - a (antisymmetric by construction)."""
-    ra = {e.name: e for e in cost_report(a).entries}
-    rb = {e.name: e for e in cost_report(b).entries}
-    names = list(ra)
-    for name in rb:
-        if name not in ra:
-            names.append(name)
-    out = []
-    for name in names:
-        pa = ra[name].params if name in ra else 0
-        fa = ra[name].flops if name in ra else 0
-        pb = rb[name].params if name in rb else 0
-        fb = rb[name].flops if name in rb else 0
-        out.append(
-            DeltaEntry(
-                name,
-                pb - pa,
-                fb - fa,
-                (pb - pa) / pa * 100.0 if pa else float("inf") if pb else 0.0,
-                (fb - fa) / fa * 100.0 if fa else float("inf") if fb else 0.0,
-            )
-        )
-    return tuple(out)

@@ -288,10 +288,6 @@ def read_table(text: str) -> tuple[list[str], list[Row]]:
     return header, rows
 
 
-def parse_table(text: str) -> list[Row]:
-    return read_table(text)[1]
-
-
 def render_json(rows: list[Row]) -> str:
     return json.dumps({"schema": SCHEMA_ID, "rows": rows}, indent=2) + "\n"
 
@@ -311,7 +307,6 @@ __all__ = [
     "load_sweep_spec",
     "pareto_front",
     "parse_sweep_spec",
-    "parse_table",
     "read_table",
     "render_csv",
     "render_json",

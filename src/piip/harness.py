@@ -374,6 +374,12 @@ def train_toy(
     The cosine schedule keeps its ``steps``-long shape, so a stopped run is
     bitwise a prefix of the full one.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not 1 <= batch_size <= n_samples:
+        raise ValueError(f"batch_size must lie in [1, n_samples={n_samples}], got {batch_size}")
+    if not 0 <= lr < math.inf:
+        raise ValueError(f"lr must be finite and non-negative, got {lr}")
     model = PiipModel(cfg)
     task = task_for(cfg)
     images, labels = make_dataset(task, n_samples)

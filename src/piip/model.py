@@ -175,6 +175,11 @@ class PiipModel:
         if self.head is None:
             raise RuntimeError("train_step needs a classification-mode model")
         labels = np.asarray(labels, dtype=np.int64)
+        if len(images) == 0 or labels.shape != (len(images),):
+            raise ValueError(
+                f"train_step needs a non-empty batch and one label per image, got "
+                f"{len(images)} images and labels of shape {labels.shape}"
+            )
         P = self._wrap(needs_grad=True)
         logits = self.graph_forward(images, P).logits
         assert logits is not None

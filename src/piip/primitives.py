@@ -54,37 +54,6 @@ def affine_in_place(
     return out
 
 
-def layer_norm(
-    x: np.ndarray,
-    gain: np.ndarray | None = None,
-    shift: np.ndarray | None = None,
-    eps: float = 1e-6,
-) -> np.ndarray:
-    """Normalize over the last axis; biased variance, then affine."""
-    x = np.asarray(x, dtype=np.float64)
-    return affine_in_place(standardize(x, (-1,), eps)[0], gain, shift)
-
-
-def group_norm(
-    x: np.ndarray,
-    groups: int,
-    gain: np.ndarray | None = None,
-    shift: np.ndarray | None = None,
-    eps: float = 1e-6,
-) -> np.ndarray:
-    """Channel-group normalization of a [..., H, W, C] map.
-
-    Statistics are taken per map and group over all spatial positions and the
-    group's channels, the standard convention for convolutional feature maps.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    *lead, h, w, c = x.shape
-    if c % groups != 0:
-        raise ValueError(f"group_norm: channels {c} not divisible by groups {groups}")
-    xhat = standardize(x.reshape(*lead, h, w, groups, c // groups), GROUP_AXES, eps)[0]
-    return affine_in_place(xhat.reshape(x.shape), gain, shift)
-
-
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-shifted softmax; safe for large magnitudes."""
     x = np.asarray(x, dtype=np.float64)

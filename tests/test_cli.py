@@ -64,14 +64,14 @@ def test_sweep_csv_and_budget(tmp_path, capsys):
     out = tmp_path / "table.csv"
     assert main(["sweep", str(spec), "--out", str(out)]) == 0
     assert "wrote" in capsys.readouterr().out
-    rows = explorer.parse_table(out.read_text())
+    rows = explorer.read_table(out.read_text())[1]
     assert all(set(r) == {"config_id", "resolutions", "params", "flops", "within_budget"}
                for r in rows)
     assert any(not r["within_budget"] for r in rows)  # 0.0005 GFLOPs is tight
 
     # --budget overrides the spec's budget
     assert main(["sweep", str(spec), "--out", str(out), "--budget", "1000"]) == 0
-    rows = explorer.parse_table(out.read_text())
+    rows = explorer.read_table(out.read_text())[1]
     assert all(r["within_budget"] for r in rows)
 
 
@@ -131,10 +131,22 @@ def test_train_toy_writes_metrics(tmp_path, capsys):
     ])
     assert rc == 0
     assert "step 3" in capsys.readouterr().out
-    rows = explorer.parse_table(out.read_text())
+    rows = explorer.read_table(out.read_text())[1]
     assert [r["step"] for r in rows] == [1, 2, 3]
     assert rows[0]["config-id"] == "r16-32-64"
     assert set(rows[0]) == {"config-id", "step", "loss", "acc"}
+
+
+@pytest.mark.parametrize("flag, value", [("--steps", "0"), ("--batch", "0"), ("--lr", "nan")])
+def test_train_toy_bad_argument_exits_1(tmp_path, capsys, flag, value):
+    out = tmp_path / "metrics.csv"
+    rc = main([
+        "train-toy", "piip-tiny-test", "--out", str(out),
+        "--steps", "2", "--samples", "8", "--batch", "4", flag, value,
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag[2:]}")
+    assert not out.exists()
 
 
 def test_piip_seed_env_changes_training(tmp_path, monkeypatch):
@@ -145,8 +157,8 @@ def test_piip_seed_env_changes_training(tmp_path, monkeypatch):
     assert main(args + ["--out", str(out_a)]) == 0
     monkeypatch.setenv("PIIP_SEED", "123")
     assert main(args + ["--out", str(out_b)]) == 0
-    rows_a = explorer.parse_table(out_a.read_text())
-    rows_b = explorer.parse_table(out_b.read_text())
+    rows_a = explorer.read_table(out_a.read_text())[1]
+    rows_b = explorer.read_table(out_b.read_text())[1]
     assert rows_a != rows_b
 
 

@@ -1,5 +1,9 @@
 """Config parsing, rendering, validation, and schedule helpers."""
 
+import configparser
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -126,6 +130,21 @@ def test_nonadjacent_direction_rejected_by_default():
         cf.parse_config(three)
     ok = three.replace("directions = 1->3", "directions = 1->3\nallow_nonadjacent = true")
     assert cf.parse_config(ok).interactions.allow_nonadjacent
+
+
+def test_branch_number_given_twice_rejected():
+    # [branch.01] used to replace [branch.1] without a word
+    text = MINIMAL.replace("[branch.2]", "[branch.01]")
+    with pytest.raises(cf.ParseError, match=r"\[branch.01\] repeats \[branch.1\]"):
+        cf.parse_config(text)
+
+
+def test_huge_window_is_a_validation_error():
+    # the perfect-square check took a float square root, which overflowed
+    window = f"attention_mode = windowed({10**400 + 1})"
+    text = MINIMAL.replace("resolution = 32\n", f"resolution = 32\n{window}\n")
+    with pytest.raises(cf.ValidationError, match="square"):
+        cf.parse_config(text)
 
 
 def test_dims_must_not_increase():
@@ -277,3 +296,102 @@ def test_non_finite_ratios_rejected(field, anchor, value):
     text = MINIMAL.replace(anchor, f"{anchor}\n{field} = {value}")
     with pytest.raises(cf.ValidationError, match=f"{field} must be positive and finite"):
         cf.parse_config(text)
+
+
+# Documents built from rendered presets with keys deleted, added or set to
+# arbitrary text: parsing either gives a config that round-trips or raises
+# ConfigError, whatever the text.
+PRESET_TEXTS = [cf.render_config(cf.preset(name)) for name in cf.PRESET_NAMES]
+KEYS = sorted({line.split(" = ")[0] for text in PRESET_TEXTS for line in text.splitlines()
+               if " = " in line})
+VALUES = st.one_of(
+    st.text(max_size=12),
+    st.text("0123456789-+.e,>() auto", max_size=12),
+    st.sampled_from(["nan", "inf", "windowed(16)", "1->3", "convnet", "regular", "yes", "0"]),
+    st.integers(-(10**400), 10**400).map(str),
+    st.integers(-(10**400), 10**400).map("windowed({})".format),
+)
+
+
+@st.composite
+def mutated_presets(draw):
+    lines = draw(st.sampled_from(PRESET_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.sampled_from([i for i, line in enumerate(lines) if " = " in line]))
+        edit = draw(st.sampled_from(["delete", "add", "set"]))
+        if edit == "delete":
+            del lines[at]
+        elif edit == "add":
+            key = draw(st.one_of(st.sampled_from(KEYS), st.text(min_size=1, max_size=6)))
+            lines.insert(at, f"{key} = {draw(VALUES)}")
+        else:
+            lines[at] = f"{lines[at].split(' = ')[0]} = {draw(VALUES)}"
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(mutated_presets())
+def test_mutated_presets_parse_or_raise_config_error(text):
+    try:
+        cfg = cf.parse_config(text)
+    except cf.ConfigError:
+        return
+    assert cf.parse_config(cf.render_config(cfg)) == cfg
+
+
+# docs/config-format.md is pinned to the code: its example is a rendered
+# preset, and each key it documents takes the default it states.
+DOC = (Path(__file__).resolve().parents[1] / "docs" / "config-format.md").read_text()
+DOC_EXAMPLE = re.search(r"```ini\n(.*?)```", DOC, re.S)[1]
+
+
+def documented_keys():
+    """(section, key, default cell) for each row of the doc's key tables."""
+    rows, section = [], None
+    for line in DOC.splitlines():
+        if m := re.fullmatch(r"### `\[(.+)\]`", line):
+            section = m[1].replace(".N", ".1")
+        elif section and (m := re.match(r"\| `(\w+)` +\|[^|]+\| (.+?) +\|", line)):
+            rows.append((section, m[1], m[2]))
+    return rows
+
+
+def set_key(text, section, key, value=None):
+    """``text`` with ``key`` of ``[section]`` set to ``value``, or left out if it is None."""
+    out, current = [], None
+    for line in text.splitlines(keepends=True):
+        if line.startswith("["):
+            current = line.strip()[1:-1]
+        elif current == section and line.startswith(f"{key} = "):
+            if value is None:
+                continue
+            line = f"{key} = {value}\n"
+        out.append(line)
+    return "".join(out)
+
+
+def test_doc_example_is_rendered_tiny_preset():
+    assert DOC_EXAMPLE == cf.render_config(cf.preset("piip-tiny-test"))
+    ini = configparser.ConfigParser()
+    ini.read_string(DOC_EXAMPLE)
+    first_branch = [s for s in ini.sections() if not s.startswith("branch.") or s == "branch.1"]
+    in_example = {(s, k) for s in first_branch for k in ini[s]}
+    assert {(s, k) for s, k, _ in documented_keys()} == in_example
+
+
+@pytest.mark.parametrize(
+    "section, key, default", documented_keys(), ids=[f"{s}.{k}" for s, k, _ in documented_keys()]
+)
+def test_documented_default(section, key, default):
+    omitted = set_key(DOC_EXAMPLE, section, key)
+    assert omitted != DOC_EXAMPLE
+    if default == "required":
+        with pytest.raises(cf.ParseError, match=f"{section}.*{key}"):
+            cf.parse_config(omitted)
+    elif key == "directions":  # adjacent pairs both ways when there are interaction points
+        assert cf.parse_config(omitted).interactions.directions == cf.default_directions(3)
+        no_points = set_key(omitted, "interactions", "count", "0")
+        assert cf.parse_config(no_points).interactions.directions == ()
+    else:
+        stated = set_key(DOC_EXAMPLE, section, key, re.fullmatch(r"`([^`]+)`", default)[1])
+        assert cf.parse_config(omitted) == cf.parse_config(stated)

@@ -40,7 +40,7 @@ import dataclasses
 import pytest
 
 from piip.config import AttentionKind, preset
-from piip.costmodel import cost_delta, cost_report
+from piip.costmodel import cost_report
 
 TINY = preset("piip-tiny-test")
 PIIP_B = preset("piip-b")
@@ -157,32 +157,6 @@ def test_window_covering_all_tokens_equals_global():
         cost_report(windowed_cfg).entry("branch3").flops
         == cost_report(TINY).entry("branch3").flops
     )
-
-
-def test_cost_delta_antisymmetric():
-    fwd = cost_delta(TINY, PIIP_B)
-    rev = cost_delta(PIIP_B, TINY)
-    fwd_by_name = {e.name: e for e in fwd}
-    for e in rev:
-        assert fwd_by_name[e.name].params == -e.params
-        assert fwd_by_name[e.name].flops == -e.flops
-
-
-def test_cost_delta_self_is_zero():
-    for e in cost_delta(TINY, TINY):
-        assert e.params == 0
-        assert e.flops == 0
-        assert e.params_pct == 0.0
-        assert e.flops_pct == 0.0
-
-
-def test_cost_delta_names_union():
-    delta = cost_delta(VIT_B, TINY)  # 1 branch vs 3 branches
-    names = [e.name for e in delta]
-    assert "branch1" in names and "branch3" in names
-    by_name = {e.name: e for e in delta}
-    assert by_name["branch2"].params == cost_report(TINY).entry("branch2").params
-    assert by_name["branch2"].params_pct == float("inf")
 
 
 def test_render_and_dict_agree():

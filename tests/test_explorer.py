@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piip import explorer, harness
-from piip.config import ParseError, ValidationError, preset
+from piip.config import ConfigError, ParseError, ValidationError, preset
 
 RNG = np.random.default_rng(550)
 
@@ -103,6 +103,38 @@ def test_parse_sweep_spec_errors():
             explorer.parse_sweep_spec(f"[sweep]\nbase = piip-tiny-test\n{key} = 16\n")
 
 
+# Free text holds no ':' because a valid range is expanded in full, so one
+# with a huge stop would exhaust memory; ranges come from bounded integers.
+SPEC_VALUES = st.one_of(
+    st.text(max_size=12).filter(lambda t: ":" not in t),
+    st.text("0123456789-+,. eaninf", max_size=12),
+    st.lists(st.integers(-64, 600), min_size=1, max_size=4).map(lambda v: ", ".join(map(str, v))),
+    st.tuples(st.integers(-64, 600), st.integers(-64, 600), st.integers(-8, 64)).map(
+        lambda t: "{}:{}:{}".format(*t)
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    budget=st.one_of(st.none(), SPEC_VALUES),
+    resolutions=st.dictionaries(st.integers(0, 4), SPEC_VALUES, max_size=4),
+)
+def test_sweep_spec_parses_or_raises_config_error(budget, resolutions):
+    lines = ["[sweep]", "base = piip-tiny-test"]
+    if budget is not None:
+        lines.append(f"budget_gflops = {budget}")
+    lines += [f"resolutions.{n} = {text}" for n, text in resolutions.items()]
+    try:
+        spec = explorer.parse_sweep_spec("\n".join(lines) + "\n")
+    except ConfigError:
+        return
+    assert spec.base == preset("piip-tiny-test")
+    for branch, values in zip(spec.base.branches, spec.resolutions, strict=True):
+        assert values and all(r > 0 and r % branch.patch_size == 0 for r in values)
+    assert spec.budget_gflops is None or isinstance(spec.budget_gflops, float)
+
+
 def test_sweep_drops_descending_combos():
     spec = explorer.parse_sweep_spec(SPEC_TEXT)
     rows = explorer.sweep(spec)
@@ -159,7 +191,7 @@ def test_csv_round_trip_exact():
     rows = explorer.sweep(spec, budget_gflops=0.4e-3)
     text = explorer.render_csv(rows)
     assert text == explorer.render_csv(rows)  # deterministic
-    back = explorer.parse_table(text)
+    back = explorer.read_table(text)[1]
     assert back == rows
 
 
@@ -177,7 +209,7 @@ def test_csv_cell_formats():
     lines = text.split("\n")
     assert lines[0] == "config_id,resolutions,params,flops,within_budget"
     assert lines[1] == "r16-32,16x32,10,1.5,false"
-    assert explorer.parse_table(text) == rows
+    assert explorer.read_table(text)[1] == rows
 
 
 def reads_as_value(text):
@@ -216,7 +248,7 @@ def test_csv_round_trip_single_resolution():
     rows = [{"config_id": "r224", "resolutions": [224]}]
     text = explorer.render_csv(rows)
     assert text == "config_id,resolutions\nr224,224x\n"
-    assert explorer.parse_table(text) == rows
+    assert explorer.read_table(text)[1] == rows
 
 
 def test_csv_column_subset_and_order():
@@ -227,14 +259,14 @@ def test_csv_column_subset_and_order():
 
 def test_parse_table_empty():
     with pytest.raises(ValueError, match="header"):
-        explorer.parse_table("")
+        explorer.read_table("")
 
 
 def test_parse_table_cell_count_must_match_header():
     with pytest.raises(ParseError, match="line 3 has 4 cells, the header has 3"):
-        explorer.parse_table("id,flops,acc\n0,1.0,0.4\n1,2.0,0.5,EXTRA\n")
+        explorer.read_table("id,flops,acc\n0,1.0,0.4\n1,2.0,0.5,EXTRA\n")
     with pytest.raises(ParseError, match="line 2 has 2 cells, the header has 3"):
-        explorer.parse_table("id,flops,acc\n0,1.0\n")
+        explorer.read_table("id,flops,acc\n0,1.0\n")
     assert explorer.read_table("id,flops,acc\n") == (["id", "flops", "acc"], [])
 
 
@@ -262,7 +294,7 @@ def test_emit_csv_and_json(tmp_path):
     json_path = tmp_path / "table.json"
     explorer.emit(rows, str(csv_path))
     explorer.emit(rows, str(json_path))
-    assert explorer.parse_table(csv_path.read_text()) == rows
+    assert explorer.read_table(csv_path.read_text())[1] == rows
     assert json.loads(json_path.read_text())["rows"] == rows
 
 

@@ -191,6 +191,24 @@ def test_train_toy_early_stop_checks_every_100_steps():
     assert len(metrics) == 100
 
 
+@pytest.mark.parametrize(
+    "bad, name",
+    [
+        (dict(steps=0), "steps"),
+        (dict(batch_size=0), "batch_size"),
+        (dict(batch_size=5), "batch_size"),
+        (dict(lr=float("nan")), "lr"),
+        (dict(lr=float("inf")), "lr"),
+        (dict(lr=-1e-3), "lr"),
+    ],
+    ids=["no-steps", "empty-batch", "batch-over-pool", "nan-lr", "inf-lr", "negative-lr"],
+)
+def test_train_toy_rejects_bad_arguments(bad, name):
+    # these used to end in an empty metrics list, NaN losses or a numpy error
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        harness.train_toy(TINY, **{"steps": 2, "n_samples": 4, "batch_size": 2, **bad})
+
+
 def test_train_accuracy_matches_argmax():
     model = PiipModel(TINY)  # zero heads -> every prediction is class 0
     task = harness.task_for(TINY)

@@ -165,6 +165,23 @@ def test_train_step_with_zero_lr_keeps_params():
         assert np.array_equal(v, snapshot[name])
 
 
+@pytest.mark.parametrize(
+    "n_images, labels",
+    [(0, []), (2, [0]), (2, [0, 1, 2])],
+    ids=["empty", "one-label-for-two", "three-labels-for-two"],
+)
+def test_train_step_rejects_empty_or_mislabelled_batch(n_images, labels):
+    # an empty batch used to step AdamW on a NaN loss; one label was broadcast
+    model = PiipModel(TINY)
+    snapshot = {name: v.copy() for name, v in model.params.items()}
+    r = TINY.branches[-1].resolution
+    images = np.zeros((n_images, r, r, 3))
+    with pytest.raises(ValueError, match="one label per image"):
+        model.train_step(images, np.array(labels, dtype=np.int64), AdamW(model.params))
+    for name, v in model.params.items():
+        assert np.array_equal(v, snapshot[name])
+
+
 def test_train_step_learns_a_fixed_batch():
     model = PiipModel(TINY)
     opt = AdamW(model.params, lr=1e-3)

@@ -34,13 +34,14 @@ def test_layer_norm_matches_oracle():
         x = RNG.standard_normal((n, d)) * RNG.uniform(0.1, 10)
         g = RNG.standard_normal(d)
         b = RNG.standard_normal(d)
-        got = pr.layer_norm(x, g, b)
+        got = ad.layer_norm_op(ad.as_var(x), ad.as_var(g), ad.as_var(b)).value
         assert np.abs(got - np.array(ref.layer_norm_ref(x, g, b))).max() <= TOL
 
 
 def test_layer_norm_standardizes_pair():
     # with eps -> 0, [1, 3] normalizes to [-1, 1]
-    out = pr.layer_norm(np.array([[1.0, 3.0]]), np.ones(2), np.zeros(2), eps=1e-30)
+    x, gain, shift = ad.as_var([[1.0, 3.0]]), ad.as_var(np.ones(2)), ad.as_var(np.zeros(2))
+    out = ad.layer_norm_op(x, gain, shift, eps=1e-30).value
     np.testing.assert_allclose(out, [[-1.0, 1.0]], atol=1e-12)
 
 
@@ -52,7 +53,7 @@ def test_group_norm_matches_oracle():
         x = RNG.standard_normal((h, w, c))
         g = RNG.standard_normal(c)
         b = RNG.standard_normal(c)
-        got = pr.group_norm(x, groups, g, b)
+        got = ad.group_norm_op(ad.as_var(x), groups, ad.as_var(g), ad.as_var(b)).value
         assert np.abs(got - np.array(ref.group_norm_ref(x, groups, g, b))).max() <= TOL
 
 
@@ -194,7 +195,6 @@ def test_single_buffer_kernels_bitwise_equal_one_line_formulas():
     mu = x.mean(axis=-1, keepdims=True)
     var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
     ln = (x - mu) / np.sqrt(var + 1e-6) * gain + shift
-    assert np.array_equal(pr.layer_norm(x, gain, shift), ln)
     op = ad.layer_norm_op(ad.leaf(x), ad.leaf(gain), ad.leaf(shift))
     assert np.array_equal(op.value, ln)
     # group norm of [2, 3, 3, 8] maps in 2 groups of 4 channels
@@ -203,6 +203,5 @@ def test_single_buffer_kernels_bitwise_equal_one_line_formulas():
     mu = g.mean(axis=(-4, -3, -1), keepdims=True)
     var = np.mean((g - mu) ** 2, axis=(-4, -3, -1), keepdims=True)
     gn = ((g - mu) / np.sqrt(var + 1e-6)).reshape(maps.shape) * gain + shift
-    assert np.array_equal(pr.group_norm(maps, 2, gain, shift), gn)
     op = ad.group_norm_op(ad.leaf(maps), 2, ad.leaf(gain), ad.leaf(shift))
     assert np.array_equal(op.value, gn)
