@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from . import primitives as prim
 
@@ -43,9 +42,14 @@ class Var:
     ) -> None:
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: Array | None = None
-        self.needs_grad = needs_grad or any(p.needs_grad for p in parents)
-        self.parents = parents if self.needs_grad else ()
-        self.vjp = vjp if self.needs_grad else None
+        if not needs_grad:
+            for p in parents:
+                if p.needs_grad:
+                    needs_grad = True
+                    break
+        self.needs_grad = needs_grad
+        self.parents = parents if needs_grad else ()
+        self.vjp = vjp if needs_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -69,33 +73,32 @@ def backward(root: Var) -> None:
     """
     if root.value.size != 1:
         raise ValueError(f"backward expects a scalar root, got shape {root.shape}")
+    # Depth-first post-order over interior nodes. A node without parents (a
+    # leaf, or a node that needs no gradient) has no vjp to run, so it is
+    # never pushed; that leaves the order of the interior nodes unchanged.
     order: list[Var] = []
-    seen: set[int] = set()
-    stack: list[tuple[Var, bool]] = [(root, False)]
+    seen: set[Var] = set()
+    stack: list[tuple[Var, bool]] = [(root, False)] if root.parents else []
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
-            continue
-        if id(node) in seen or not node.needs_grad:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            stack.append((p, False))
+        elif node not in seen:
+            seen.add(node)
+            stack.append((node, True))
+            for p in node.parents:
+                if p.parents:
+                    stack.append((p, False))
 
     root.grad = np.ones_like(root.value)
-    while order:
-        node = order.pop()
+    for node in reversed(order):
         if node.vjp is not None and node.grad is not None:
             for parent, g in zip(node.parents, node.vjp(node.grad)):
-                if g is None or not parent.needs_grad:
-                    continue
-                parent.grad = g if parent.grad is None else parent.grad + g
-        if node.parents:
-            node.grad = None
-            node.parents = ()
-            node.vjp = None
+                if g is not None and parent.needs_grad:
+                    parent.grad = g if parent.grad is None else parent.grad + g
+        node.grad = None
+        node.parents = ()
+        node.vjp = None
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -104,10 +107,10 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
         return grad
     extra = grad.ndim - len(shape)
     if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = np.add.reduce(grad, axis=tuple(range(extra)))
     kept = tuple(ax for ax, n in enumerate(shape) if n == 1 and grad.shape[ax] != 1)
     if kept:
-        grad = grad.sum(axis=kept, keepdims=True)
+        grad = np.add.reduce(grad, axis=kept, keepdims=True)
     return grad.reshape(shape)
 
 
@@ -126,7 +129,10 @@ def add(a: Var, b: Var) -> Var:
     return Var(
         a.value + b.value,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+        lambda g: (
+            _unbroadcast(g, a.shape) if a.needs_grad else None,
+            _unbroadcast(g, b.shape) if b.needs_grad else None,
+        ),
     )
 
 
@@ -135,7 +141,10 @@ def sub(a: Var, b: Var) -> Var:
     return Var(
         a.value - b.value,
         (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape) if b.needs_grad else None),
+        lambda g: (
+            _unbroadcast(g, a.shape) if a.needs_grad else None,
+            _unbroadcast(-g, b.shape) if b.needs_grad else None,
+        ),
     )
 
 
@@ -162,7 +171,7 @@ def reshape(a: Var, shape: tuple[int, ...]) -> Var:
 
 def transpose(a: Var, axes: tuple[int, ...]) -> Var:
     axes = tuple(ax % a.value.ndim for ax in axes)
-    inv = tuple(np.argsort(axes))
+    inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     return Var(a.value.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
@@ -276,10 +285,10 @@ def weighted_sum_op(x: Var, w: Var) -> Var:
 
 
 def softmax_op(a: Var) -> Var:
-    y = prim.softmax(a.value, axis=-1)
+    y = prim.softmax(a.value)
 
     def vjp(g: Array) -> tuple[Array]:
-        dot = np.sum(g * y, axis=-1, keepdims=True)
+        dot = np.add.reduce(g * y, axis=-1, keepdims=True)
         out = g - dot
         out *= y
         return (out,)
@@ -288,13 +297,16 @@ def softmax_op(a: Var) -> Var:
 
 
 def gelu_op(a: Var) -> Var:
+    """Exact Gaussian-error-function form: 0.5 * x * (1 + erf(x / sqrt(2)))."""
+    x = a.value
+    cdf2 = prim.erf_plus_one(x)
+    # the vjp reuses the erf term; a node that keeps no vjp finishes in its buffer
+    out = cdf2 * x if a.needs_grad else np.multiply(cdf2, x, out=cdf2)
+    out *= 0.5
+
     def vjp(g: Array) -> tuple[Array]:
         # g * (cdf + x * pdf), one buffer each for the cdf and the pdf term
-        x = a.value
-        cdf = x * prim._INV_SQRT2
-        erf(cdf, out=cdf)
-        cdf += 1.0
-        cdf *= 0.5
+        cdf = cdf2 * 0.5
         pdf = x * x
         pdf *= -0.5
         np.exp(pdf, out=pdf)
@@ -304,36 +316,39 @@ def gelu_op(a: Var) -> Var:
         cdf *= g
         return (cdf,)
 
-    return Var(prim.gelu(a.value), (a,), vjp)
+    return Var(out, (a,), vjp)
 
 
 def _norm_vjp(
     g: Array, xhat: Array, s: Array, gain: Array, n: int, red: tuple[int, ...]
 ) -> Array:
-    """Input gradient of ``xhat * gain`` where xhat is normalized over ``red``."""
+    """Input gradient of ``xhat * gain`` where xhat is normalized over ``red``.
+
+    ``(1 / s / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))`` with
+    dxhat = g * gain, evaluated in that order in two buffers.
+    """
     dxhat = g * gain
-    return (
-        1.0
-        / s
-        / n
-        * (
-            n * dxhat
-            - dxhat.sum(axis=red, keepdims=True)
-            - xhat * (dxhat * xhat).sum(axis=red, keepdims=True)
-        )
-    )
+    out = dxhat * n
+    out -= np.add.reduce(dxhat, axis=red, keepdims=True)
+    dxhat *= xhat
+    np.multiply(xhat, np.add.reduce(dxhat, axis=red, keepdims=True), out=dxhat)
+    out -= dxhat
+    scale = 1.0 / s
+    scale /= n
+    out *= scale
+    return out
 
 
 def layer_norm_op(x: Var, gain: Var, shift: Var, eps: float = 1e-6) -> Var:
-    xv = x.value
-    out, mu, s = prim.standardize(xv, (-1,), eps)
-    prim.affine_in_place(out, gain.value, shift.value)
+    xhat, _, s = prim.standardize(x.value, (-1,), eps)
+    # the vjp reuses xhat; a node that keeps no vjp finishes in its buffer
+    keep = x.needs_grad or gain.needs_grad or shift.needs_grad
+    out = xhat * gain.value if keep else np.multiply(xhat, gain.value, out=xhat)
+    out += shift.value
 
     def vjp(g: Array) -> tuple[Array | None, Array, Array]:
-        xhat = xv - mu  # recomputed rather than kept on the tape
-        xhat /= s
-        dx = _norm_vjp(g, xhat, s, gain.value, xv.shape[-1], (-1,)) if x.needs_grad else None
-        return dx, (_rows(g) * _rows(xhat)).sum(axis=0), _rows(g).sum(axis=0)
+        dx = _norm_vjp(g, xhat, s, gain.value, xhat.shape[-1], (-1,)) if x.needs_grad else None
+        return dx, np.add.reduce(_rows(g * xhat), axis=0), np.add.reduce(_rows(g), axis=0)
 
     return Var(out, (x, gain, shift), vjp)
 
@@ -355,7 +370,8 @@ def group_norm_op(x: Var, groups: int, gain: Var, shift: Var, eps: float = 1e-6)
             gain_g = gain.value.reshape(groups, c // groups)
             dx = _norm_vjp(g.reshape(gshape), xhat, s, gain_g, h * w * (c // groups), red)
             dx = dx.reshape(xv.shape)
-        return dx, (_rows(g) * xhat.reshape(-1, c)).sum(axis=0), _rows(g).sum(axis=0)
+        xhat *= g.reshape(gshape)
+        return dx, np.add.reduce(xhat.reshape(-1, c), axis=0), np.add.reduce(_rows(g), axis=0)
 
     return Var(out, (x, gain, shift), vjp)
 

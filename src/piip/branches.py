@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .config import Arch, AttentionKind, BranchSpec, ffn_hidden
+from .config import Arch, AttentionKind, BranchSpec, ffn_hidden, window_side
 from .params import ParamSpec
 
 Params = dict[str, Var]
@@ -118,7 +118,7 @@ class TransformerBlock:
         self.head_dim = spec.dim // spec.heads
         self.hidden = ffn_hidden(spec.dim, spec.mlp_ratio)
         self.windowed = spec.attention_mode is AttentionKind.WINDOWED
-        self.window_side = int(round(spec.window_tokens**0.5)) if self.windowed else 0
+        self.window_side = window_side(spec.window_tokens) if self.windowed else 0
 
     def declare(self, ps: ParamSpec) -> None:
         d, h = self.dim, self.hidden

@@ -123,6 +123,11 @@ def deform_value_dim(dim: int, schedule: InteractionSchedule) -> int:
     return int(round(schedule.deform_ratio * dim))
 
 
+def window_side(window_tokens: int) -> int:
+    """Side of a square attention window of ``window_tokens`` tokens, in exact integers."""
+    return math.isqrt(window_tokens)
+
+
 def ffn_hidden(dim: int, ratio: float) -> int:
     return int(round(ratio * dim))
 
@@ -174,7 +179,7 @@ def validate(cfg: PyramidConfig) -> PyramidConfig:
                 wt = b.window_tokens
                 if wt is None or wt < 1:
                     raise ValidationError(f"{where}: windowed attention needs window_tokens")
-                if math.isqrt(wt) ** 2 != wt:
+                if window_side(wt) ** 2 != wt:
                     raise ValidationError(
                         f"{where}: window_tokens {wt} must be a perfect square"
                     )

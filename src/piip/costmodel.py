@@ -30,6 +30,7 @@ from .config import (
     deform_value_dim,
     ffn_hidden,
     validate,
+    window_side,
 )
 
 
@@ -113,7 +114,7 @@ def _branch_flops(b: BranchSpec) -> int:
     if b.arch is Arch.TRANSFORMER:
         h = ffn_hidden(d, b.mlp_ratio)
         if b.attention_mode is AttentionKind.WINDOWED:
-            side = int(round(b.window_tokens**0.5))
+            side = window_side(b.window_tokens)
             n_windows = -(-g // side) * (-(-g // side))
             t = side * side
             quad = 2 * (n_windows * t) * t * d

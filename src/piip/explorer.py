@@ -108,7 +108,7 @@ def parse_sweep_spec(text: str) -> SweepSpec:
                 raise ParseError(f"sweep: budget_gflops must be a number, got {raw!r}") from None
         elif key.startswith("resolutions."):
             index = key.split(".", 1)[1]
-            if not index.isdigit():
+            if not index.isdecimal():
                 raise ParseError(f"sweep: {key!r} must name a branch as resolutions.<N>")
             per_branch[int(index)] = _parse_candidates(raw, f"sweep: {key}")
         else:

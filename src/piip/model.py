@@ -232,6 +232,12 @@ class AdamW:
     Decay applies only to weight matrices/kernels (ndim >= 2, excluding
     positional embeddings); gates, norms, biases and merge weights are left
     undecayed.
+
+    A step is one pass over every parameter at once: parameters and gradients
+    are gathered into flat buffers, updated there, and written back into the
+    caller's arrays. The flat layout puts the decayed tensors first, so decay
+    is one contiguous slice. Each element sees the same operations in the
+    same order as a per-tensor loop, so the result is bitwise that loop's.
     """
 
     def __init__(
@@ -247,25 +253,47 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {name: np.zeros_like(v) for name, v in params.items()}
-        self.v = {name: np.zeros_like(v) for name, v in params.items()}
         self.decayed = {
             name: (v.ndim >= 2 and not name.endswith(".pos")) for name, v in params.items()
+        }
+        layout = sorted(params, key=lambda name: not self.decayed[name])  # decayed first
+        sizes = [params[name].size for name in layout]
+        n = sum(sizes)
+        self._n_decayed = sum(size for name, size in zip(layout, sizes) if self.decayed[name])
+        self.m = np.zeros(n)  # first moments, flat in layout order
+        self.v = np.zeros(n)  # second moments
+        # flat parameters, flat gradients (later the update), and one temporary
+        self._flat = np.empty((3, n))
+        self._views = {  # name -> its parameters in the flat buffer
+            name: self._flat[0, end - size : end].reshape(params[name].shape)
+            for name, size, end in zip(layout, sizes, np.cumsum(sizes).tolist())
         }
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for name, p in params.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.decayed[name] and self.weight_decay:
-                update = update + self.weight_decay * p
-            p -= self.lr * update
+        p, g, tmp = self._flat
+        m, v = self.m, self.v
+        np.concatenate([grads[name] for name in self._views], axis=None, out=g)
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        m += tmp
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        update = np.divide(m, bc1, out=g)
+        update /= tmp
+        np.concatenate([params[name] for name in self._views], axis=None, out=p)
+        if self.weight_decay:
+            d = self._n_decayed
+            np.multiply(p[:d], self.weight_decay, out=tmp[:d])
+            update[:d] += tmp[:d]
+        update *= self.lr
+        p -= update
+        for name, flat in self._views.items():
+            params[name][...] = flat

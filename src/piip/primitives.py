@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +36,11 @@ def standardize(
 
     Returns (xhat, mu, s), the statistics kept with their reduced axes.
     """
-    mu = x.mean(axis=axes, keepdims=True)
+    n = math.prod(x.shape[ax] for ax in axes)
+    # add.reduce(...) / n is exactly np.mean, without its Python wrapper
+    mu = np.add.reduce(x, axis=axes, keepdims=True) / n
     out = x - mu
-    var = np.mean(out * out, axis=axes, keepdims=True)
+    var = np.add.reduce(out * out, axis=axes, keepdims=True) / n
     s = np.sqrt(var + eps)
     out /= s
     return out, mu, s
@@ -54,23 +57,39 @@ def affine_in_place(
     return out
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-shifted softmax; safe for large magnitudes."""
+# Softmax rows up to this long take their maximum by folding (see softmax).
+FOLD_MAX_ROW = 32
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax over the last axis; safe for large magnitudes."""
     x = np.asarray(x, dtype=np.float64)
-    out = x - np.max(x, axis=axis, keepdims=True)
+    # A reduction over a short last axis is slow, so short rows take their
+    # maximum by folding overlapping halves: elementwise maxima over long inner
+    # loops. Long rows reduce, which reads them once. Max is exact in any
+    # order; only the sign of a zero maximum can differ, and exp(x - m) erases it.
+    if x.shape[-1] > FOLD_MAX_ROW:
+        m = np.maximum.reduce(x, axis=-1, keepdims=True)
+    else:
+        m = x
+        while (k := m.shape[-1]) > 1:
+            half = (k + 1) // 2
+            m = np.maximum(m[..., :half], m[..., k - half :])
+    out = x - m
     np.exp(out, out=out)
-    out /= np.sum(out, axis=axis, keepdims=True)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
     return out
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact Gaussian-error-function form: 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    x = np.asarray(x, dtype=np.float64)
+def erf_plus_one(x: np.ndarray) -> np.ndarray:
+    """``1 + erf(x / sqrt(2))``, twice the standard normal CDF, in a new buffer.
+
+    GELU is ``0.5 * x * erf_plus_one(x)`` (``autodiff.gelu_op``), whose
+    gradient reuses this term.
+    """
     out = x * _INV_SQRT2
     erf(out, out=out)
     out += 1.0
-    out *= x
-    out *= 0.5
     return out
 
 
@@ -92,32 +111,37 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     Same-size resize is an exact copy; constant maps stay exactly constant.
     """
     img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape[-3:-1]
+    *lead, h, w, c = img.shape
     if out_h < 1 or out_w < 1:
         raise ValueError(f"bilinear_resize: bad output size {out_h}x{out_w}")
     y0, y1, ty = lerp_taps(out_h, h)
     x0, x1, tx = lerp_taps(out_w, w)
-    ty = ty[:, None, None]
-    tx = tx[:, None]
+    # Each corner is one gather of whole pixels (C values each); the lerps then
+    # run over [..., out_h, out_w*C] rows with the x weight repeated per
+    # channel, so no inner loop is only C long.
+    pixels = img.reshape(*lead, h * w, c)
+    rows = (*lead, out_h, out_w * c)
+    y0 = y0[:, None] * w
+    y1 = y1[:, None] * w
+    tx = tx.repeat(c)
+    ty = ty[:, None]
     # Lerp form a + t*(b - a), exact for t == 0 and for constant maps; worked
-    # in place so only the two output-sized rows are live at once.
-    rows = img[..., y0, :, :]
-    top = rows[..., x0, :]
-    step = rows[..., x1, :]
+    # in place so at most three output-sized buffers are live at once.
+    top = np.take(pixels, (y0 + x0).ravel(), axis=-2).reshape(rows)
+    step = np.take(pixels, (y0 + x1).ravel(), axis=-2).reshape(rows)
     step -= top
     step *= tx
     top += step
-    rows = img[..., y1, :, :]
-    bot = rows[..., x0, :]
-    step = rows[..., x1, :]
+    bot = np.take(pixels, (y1 + x0).ravel(), axis=-2).reshape(rows)
+    step = np.take(pixels, (y1 + x1).ravel(), axis=-2).reshape(rows)
     step -= bot
     step *= tx
     bot += step
-    del rows, step
+    del step
     bot -= top
     bot *= ty
     top += bot
-    return top
+    return top.reshape(*lead, out_h, out_w, c)
 
 
 @dataclass(frozen=True)
@@ -150,7 +174,7 @@ class SamplingPlan:
     def point_grad(self, g: np.ndarray, maps: np.ndarray) -> np.ndarray:
         """Gradient of the points [..., N, 2] from the samples' gradient."""
         h, w, c = maps.shape[-3:]
-        corners = maps.reshape(-1, c)[self.index]  # [M, 2, 2, C]
+        corners = np.take(maps.reshape(-1, c), self.index, axis=0)  # [M, 2, 2, C]
         dweight = np.einsum("mabc,mc->mab", corners, g.reshape(-1, c))
         # d tap weight / d normalized coordinate: -size, +size, 0 outside
         slope = self.valid * (_TAP_SIGN * np.array([[w], [h]]))
@@ -178,7 +202,7 @@ def sampling_plan(maps_shape: tuple[int, ...], points: np.ndarray) -> SamplingPl
             f"got maps {tuple(maps_shape)} and points {points.shape}"
         )
     h, w = maps_shape[-3:-1]
-    maps = int(np.prod(maps_shape[:-3], dtype=np.int64))
+    maps = math.prod(maps_shape[:-3])
     size = np.array([[w], [h]])  # [axis, 1]
     t = points.reshape(-1, 2).T * size  # [axis, M]
     t -= 0.5  # continuous pixel-space coordinates
@@ -271,10 +295,16 @@ def im2col(
     out_w = conv_out_size(w, kw, stride, padding)
     if out_h < 1 or out_w < 1:
         raise ValueError(f"im2col: kernel {kh}x{kw} larger than padded map {h}x{w}")
-    if padding:
-        x = np.pad(x, [(0, 0)] * len(lead) + [(padding, padding)] * 2 + [(0, 0)])
-    win = sliding_window_view(x, (kh, kw), axis=(-3, -2))  # [..., H', W', C, kh, kw]
-    win = np.moveaxis(win[..., ::stride, ::stride, :, :, :], -3, -1)
+    if stride == kh == kw and not padding:
+        # non-overlapping patches: crop to whole patches, then
+        # [..., out_h, kh, out_w, kw, C] -> [..., out_h, out_w, kh, kw, C]
+        x = x[..., : out_h * kh, : out_w * kw, :]
+        win = x.reshape(*lead, out_h, kh, out_w, kw, c).swapaxes(-4, -3)
+    else:
+        if padding:
+            x = np.pad(x, [(0, 0)] * len(lead) + [(padding, padding)] * 2 + [(0, 0)])
+        win = sliding_window_view(x, (kh, kw), axis=(-3, -2))  # [..., H', W', C, kh, kw]
+        win = np.moveaxis(win[..., ::stride, ::stride, :, :, :], -3, -1)
     return win.reshape(*lead, out_h * out_w, kh * kw * c), out_h, out_w
 
 
@@ -282,7 +312,7 @@ def reference_points(grid_h: int, grid_w: int) -> np.ndarray:
     """Normalized token-center coordinates of a grid, row-major [N, 2] (x, y)."""
     if grid_h < 1 or grid_w < 1:
         raise ValueError(f"reference_points: bad grid {grid_h}x{grid_w}")
-    xs = (np.arange(grid_w, dtype=np.float64) + 0.5) / grid_w
-    ys = (np.arange(grid_h, dtype=np.float64) + 0.5) / grid_h
-    gx, gy = np.meshgrid(xs, ys)  # row-major: y varies over rows
-    return np.stack([gx.ravel(), gy.ravel()], axis=1)
+    out = np.empty((grid_h, grid_w, 2))  # row-major: y varies over rows
+    out[..., 0] = (np.arange(grid_w, dtype=np.float64) + 0.5) / grid_w
+    out[..., 1] = ((np.arange(grid_h, dtype=np.float64) + 0.5) / grid_h)[:, None]
+    return out.reshape(-1, 2)

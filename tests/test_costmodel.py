@@ -39,8 +39,9 @@ import dataclasses
 
 import pytest
 
-from piip.config import AttentionKind, preset
+from piip.config import AttentionKind, preset, validate
 from piip.costmodel import cost_report
+from piip.model import PiipModel
 
 TINY = preset("piip-tiny-test")
 PIIP_B = preset("piip-b")
@@ -157,6 +158,21 @@ def test_window_covering_all_tokens_equals_global():
         cost_report(windowed_cfg).entry("branch3").flops
         == cost_report(TINY).entry("branch3").flops
     )
+
+
+def test_huge_square_window_prices_in_exact_integers():
+    # validate took an integer root of window_tokens, but the cost model and
+    # the branch took a float one, which overflowed past 1e308
+    wt = 10**400
+    branch = dataclasses.replace(
+        TINY.branches[2], attention_mode=AttentionKind.WINDOWED, window_tokens=wt
+    )
+    cfg = validate(dataclasses.replace(TINY, branches=TINY.branches[:2] + (branch,)))
+    # one window over the 4x4 grid, padded to the window: 2 * t * t * d per block
+    glob = cost_report(TINY).entry("branch3").flops
+    quad = 2 * 16 * 16 * 8
+    assert cost_report(cfg).entry("branch3").flops == glob + 2 * (2 * wt * wt * 8 - quad)
+    assert PiipModel(cfg, materialize=False).branches[2].blocks[0].window_side == 10**200
 
 
 def test_render_and_dict_agree():

@@ -98,7 +98,8 @@ def test_parse_sweep_spec_errors():
         explorer.parse_sweep_spec("[sweep]\nbase = piip-tiny-test\nresolutions.1 = 20\n")
     with pytest.raises(ParseError, match="budget_gflops"):
         explorer.parse_sweep_spec("[sweep]\nbase = piip-tiny-test\nbudget_gflops = abc\n")
-    for key in ("resolutions.x", "resolutions.", "resolutions.-1"):
+    # "²" is a digit to str.isdigit but not to int(), which used to raise a bare ValueError
+    for key in ("resolutions.x", "resolutions.", "resolutions.-1", "resolutions.²"):
         with pytest.raises(ParseError, match="resolutions.<N>"):
             explorer.parse_sweep_spec(f"[sweep]\nbase = piip-tiny-test\n{key} = 16\n")
 
@@ -270,22 +271,42 @@ def test_parse_table_cell_count_must_match_header():
     assert explorer.read_table("id,flops,acc\n") == (["id", "flops", "acc"], [])
 
 
+SCHEMA = json.loads(resources.files("piip").joinpath("schemas/sweep.json").read_text())
+
+
 def test_json_output_validates_against_shipped_schema():
-    schema = json.loads(
-        resources.files("piip").joinpath("schemas/sweep.json").read_text()
-    )
     rows = explorer.sweep(explorer.parse_sweep_spec(SPEC_TEXT), budget_gflops=1.0)
     doc = json.loads(explorer.render_json(rows))
-    jsonschema.validate(doc, schema)
+    jsonschema.validate(doc, SCHEMA)
     assert doc["schema"] == explorer.SCHEMA_ID
     assert doc["rows"] == rows
 
     bad = {"schema": "wrong/1", "rows": []}
     with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate(bad, schema)
+        jsonschema.validate(bad, SCHEMA)
     bad_row = {"schema": explorer.SCHEMA_ID, "rows": [{"config_id": "x"}]}
     with pytest.raises(jsonschema.ValidationError):
-        jsonschema.validate(bad_row, schema)
+        jsonschema.validate(bad_row, SCHEMA)
+
+
+SWEEP_ROW = st.fixed_dictionaries(
+    {
+        "config_id": st.from_regex(r"r[0-9]+(-[0-9]+)*", fullmatch=True),
+        "resolutions": st.lists(st.integers(1, 10**6), min_size=1, max_size=4),
+        "params": st.integers(0, 10**20),
+        "flops": st.integers(0, 10**20),
+        "within_budget": st.booleans(),
+    },
+    optional={"quality": st.floats(allow_nan=False, allow_infinity=False)},
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(SWEEP_ROW, max_size=4))
+def test_json_round_trip_property(rows):
+    doc = json.loads(explorer.render_json(rows))
+    jsonschema.validate(doc, SCHEMA)
+    assert doc["rows"] == rows
 
 
 def test_emit_csv_and_json(tmp_path):
