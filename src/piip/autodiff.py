@@ -42,14 +42,9 @@ class Var:
     ) -> None:
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: Array | None = None
-        if not needs_grad:
-            for p in parents:
-                if p.needs_grad:
-                    needs_grad = True
-                    break
-        self.needs_grad = needs_grad
-        self.parents = parents if needs_grad else ()
-        self.vjp = vjp if needs_grad else None
+        self.needs_grad = needs_grad or any(p.needs_grad for p in parents)
+        self.parents = parents if self.needs_grad else ()
+        self.vjp = vjp if self.needs_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -129,10 +124,7 @@ def add(a: Var, b: Var) -> Var:
     return Var(
         a.value + b.value,
         (a, b),
-        lambda g: (
-            _unbroadcast(g, a.shape) if a.needs_grad else None,
-            _unbroadcast(g, b.shape) if b.needs_grad else None,
-        ),
+        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
     )
 
 
@@ -141,10 +133,7 @@ def sub(a: Var, b: Var) -> Var:
     return Var(
         a.value - b.value,
         (a, b),
-        lambda g: (
-            _unbroadcast(g, a.shape) if a.needs_grad else None,
-            _unbroadcast(-g, b.shape) if b.needs_grad else None,
-        ),
+        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape) if b.needs_grad else None),
     )
 
 

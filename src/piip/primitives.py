@@ -57,25 +57,10 @@ def affine_in_place(
     return out
 
 
-# Softmax rows up to this long take their maximum by folding (see softmax).
-FOLD_MAX_ROW = 32
-
-
 def softmax(x: np.ndarray) -> np.ndarray:
     """Max-shifted softmax over the last axis; safe for large magnitudes."""
     x = np.asarray(x, dtype=np.float64)
-    # A reduction over a short last axis is slow, so short rows take their
-    # maximum by folding overlapping halves: elementwise maxima over long inner
-    # loops. Long rows reduce, which reads them once. Max is exact in any
-    # order; only the sign of a zero maximum can differ, and exp(x - m) erases it.
-    if x.shape[-1] > FOLD_MAX_ROW:
-        m = np.maximum.reduce(x, axis=-1, keepdims=True)
-    else:
-        m = x
-        while (k := m.shape[-1]) > 1:
-            half = (k + 1) // 2
-            m = np.maximum(m[..., :half], m[..., k - half :])
-    out = x - m
+    out = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= np.add.reduce(out, axis=-1, keepdims=True)
     return out
