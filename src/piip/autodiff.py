@@ -365,11 +365,6 @@ def group_norm_op(x: Var, groups: int, gain: Var, shift: Var, eps: float = 1e-6)
     return Var(out, (x, gain, shift), vjp)
 
 
-def linear_op(x: Var, weight: Var, bias: Var | None = None) -> Var:
-    """x: [..., d_in] times weight [d_in, d_out] plus bias, as one node."""
-    return matmul(x, weight, bias)
-
-
 def cross_entropy_op(logits: Var, labels: int | Array) -> Var:
     """Mean cross-entropy of [..., C] logits against integer labels [...]."""
     lv = logits.value

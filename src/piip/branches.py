@@ -103,7 +103,7 @@ class ConvStem:
         return ad.reshape(grid, grid.shape[:-3] + (gh * gw, self.dim)), gh, gw
 
 
-def _attend(q: Var, k: Var, v: Var, head_dim: int) -> Var:
+def attend(q: Var, k: Var, v: Var, head_dim: int) -> Var:
     """Scaled dot-product over the last two axes: [..., N, hd] -> [..., N, hd]."""
     q = ad.scale(q, 1.0 / math.sqrt(head_dim))
     weights = ad.softmax_op(ad.matmul(q, ad.swapaxes(k, -1, -2)))
@@ -143,12 +143,12 @@ class TransformerBlock:
         """
         lead, (t, d) = x.shape[:-2], x.shape[-2:]
         nd = len(lead)
-        qkv = ad.linear_op(x, P[f"{self.prefix}.qkv_w"], P[f"{self.prefix}.qkv_b"])
+        qkv = ad.matmul(x, P[f"{self.prefix}.qkv_w"], P[f"{self.prefix}.qkv_b"])
         qkv = ad.reshape(qkv, lead + (t, 3, self.heads, self.head_dim))
         # [..., T, 3, heads, hd] -> [..., 3, heads, T, hd]
         qkv = ad.transpose(qkv, tuple(range(nd)) + (nd + 1, nd + 2, nd, nd + 3))
         q, k, v = (ad.take_index(qkv, i, nd) for i in range(3))
-        out = _attend(q, k, v, self.head_dim)  # [..., heads, T, hd]
+        out = attend(q, k, v, self.head_dim)  # [..., heads, T, hd]
         return ad.reshape(ad.swapaxes(out, -2, -3), lead + (t, d))
 
     def _windowed_mix(self, P: Params, x: Var, gh: int, gw: int) -> Var:
@@ -180,12 +180,12 @@ class TransformerBlock:
             attn = self._windowed_mix(P, h, state.grid_h, state.grid_w)
         else:
             attn = self._mix(P, h)
-        attn = ad.linear_op(attn, P[f"{pre}.proj_w"], P[f"{pre}.proj_b"])
+        attn = ad.matmul(attn, P[f"{pre}.proj_w"], P[f"{pre}.proj_b"])
         x = ad.add(x, attn)
         m = ad.layer_norm_op(x, P[f"{pre}.ln2_g"], P[f"{pre}.ln2_b"])
-        m = ad.linear_op(m, P[f"{pre}.mlp1_w"], P[f"{pre}.mlp1_b"])
+        m = ad.matmul(m, P[f"{pre}.mlp1_w"], P[f"{pre}.mlp1_b"])
         m = ad.gelu_op(m)
-        m = ad.linear_op(m, P[f"{pre}.mlp2_w"], P[f"{pre}.mlp2_b"])
+        m = ad.matmul(m, P[f"{pre}.mlp2_w"], P[f"{pre}.mlp2_b"])
         return replace(state, tokens=ad.add(x, m))
 
 
@@ -218,9 +218,9 @@ class ConvBlock:
         x = state.tokens
         y = ad.depthwise_conv_op(state.as_grid(), P[f"{pre}.dw_k"], P[f"{pre}.dw_b"])
         y = ad.layer_norm_op(y, P[f"{pre}.ln_g"], P[f"{pre}.ln_b"])
-        y = ad.linear_op(y, P[f"{pre}.pw1_w"], P[f"{pre}.pw1_b"])
+        y = ad.matmul(y, P[f"{pre}.pw1_w"], P[f"{pre}.pw1_b"])
         y = ad.gelu_op(y)
-        y = ad.linear_op(y, P[f"{pre}.pw2_w"], P[f"{pre}.pw2_b"])
+        y = ad.matmul(y, P[f"{pre}.pw2_w"], P[f"{pre}.pw2_b"])
         y = ad.mul(y, P[f"{pre}.scale"])
         return replace(state, tokens=ad.add(x, ad.reshape(y, x.shape)))
 

@@ -179,9 +179,14 @@ def validate(cfg: PyramidConfig) -> PyramidConfig:
                 wt = b.window_tokens
                 if wt is None or wt < 1:
                     raise ValidationError(f"{where}: windowed attention needs window_tokens")
-                if window_side(wt) ** 2 != wt:
+                side, grid = window_side(wt), b.resolution // b.patch_size
+                if side**2 != wt:
                     raise ValidationError(
                         f"{where}: window_tokens {wt} must be a perfect square"
+                    )
+                if side > grid:
+                    raise ValidationError(
+                        f"{where}: window side {side} exceeds the token grid side {grid}"
                     )
             elif b.window_tokens is not None:
                 raise ValidationError(f"{where}: window_tokens set but attention is global")

@@ -54,6 +54,9 @@ class SweepSpec:
     budget_gflops: float | None = None
 
 
+MAX_RANGE_VALUES = 10_000  # a range is expanded in full, so its length is checked first
+
+
 def _parse_candidates(raw: str, where: str) -> tuple[int, ...]:
     raw = raw.strip()
     if ":" in raw:
@@ -66,6 +69,11 @@ def _parse_candidates(raw: str, where: str) -> tuple[int, ...]:
             raise ParseError(f"{where}: range must be integer start:stop:step, got {raw!r}")
         if step <= 0:
             raise ParseError(f"{where}: range step must be positive, got {step}")
+        count = max(0, -(-(stop - start) // step))  # len(range(...)) overflows past 2**63
+        if count > MAX_RANGE_VALUES:
+            raise ParseError(
+                f"{where}: range {raw!r} has {count} values, more than {MAX_RANGE_VALUES}"
+            )
         values = tuple(range(start, stop, step))
     else:
         try:

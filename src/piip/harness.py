@@ -256,7 +256,7 @@ def randomize_gates(model: PiipModel, rng: np.random.Generator, scale: float = 0
     """Give every zero-init gate and classifier weight a small random value.
 
     At exact initialization the zero gates annihilate all gradients inside
-    the interaction units, and the zero classifier weights block gradients
+    the interaction directions, and the zero classifier weights block gradients
     to everything upstream of the heads; a gradient check at that state
     would be vacuous for most parameter families.
     """

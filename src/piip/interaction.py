@@ -1,4 +1,4 @@
-"""Cross-branch interaction units.
+"""Cross-branch interaction directions.
 
 A direction ``src -> dst`` lets the destination branch query the source
 branch's tokens: the source features are linearly reconciled to the
@@ -8,21 +8,20 @@ grid position. The result enters through a per-channel zero-initialized gate
 followed by a gated thin FFN, so a freshly built model is exactly the stack
 of its isolated branches.
 
-All units at one interaction point read the *pre-update* features; a branch
-receiving several updates (e.g. the middle branch of a three-level pyramid)
-accumulates them additively in pair order.
+All directions at one interaction point read the *pre-update* features; a
+branch receiving several updates (e.g. the middle branch of a three-level
+pyramid) accumulates them additively in pair order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .branches import FeatureMap, Params
+from .branches import FeatureMap, Params, attend
 from .config import (
     AttentionImpl,
     InteractionSchedule,
@@ -74,13 +73,13 @@ class DeformableCrossAttention:
 
         # Heads become a leading axis of the value maps and the sampling
         # points, so one sampling call serves every head.
-        vmap = ad.linear_op(value, P[f"{pre}.val_w"], P[f"{pre}.val_b"])  # [..., Nv, vd]
+        vmap = ad.matmul(value, P[f"{pre}.val_w"], P[f"{pre}.val_b"])  # [..., Nv, vd]
         vmap = ad.reshape(vmap, lead + (gvh, gvw, m, hd))
         vmap = ad.transpose(vmap, tuple(range(nd)) + (nd + 2, nd, nd + 1, nd + 3))  # heads first
 
-        off = ad.linear_op(query, P[f"{pre}.off_w"], P[f"{pre}.off_b"])  # [..., Nq, m*k*2]
+        off = ad.matmul(query, P[f"{pre}.off_w"], P[f"{pre}.off_b"])  # [..., Nq, m*k*2]
         off = ad.swapaxes(ad.reshape(off, lead + (nq, m, k, 2)), -4, -3)  # [..., m, Nq, k, 2]
-        wts = ad.linear_op(query, P[f"{pre}.wt_w"], P[f"{pre}.wt_b"])  # [..., Nq, m*k]
+        wts = ad.matmul(query, P[f"{pre}.wt_w"], P[f"{pre}.wt_b"])  # [..., Nq, m*k]
         wts = ad.softmax_op(ad.reshape(wts, lead + (nq, m, k)))  # softmax over K per head
         wts = ad.swapaxes(wts, -3, -2)  # [..., m, Nq, k]
 
@@ -96,7 +95,7 @@ class DeformableCrossAttention:
         sampled = ad.reshape(sampled, lead + (m, nq, k, hd))
         heads = ad.weighted_sum_op(sampled, wts)  # [..., m, Nq, hd]
         merged = ad.reshape(ad.swapaxes(heads, -3, -2), lead + (nq, self.value_dim))
-        return ad.linear_op(merged, P[f"{pre}.out_w"], P[f"{pre}.out_b"])
+        return ad.matmul(merged, P[f"{pre}.out_w"], P[f"{pre}.out_b"])
 
 
 class RegularCrossAttention:
@@ -128,30 +127,36 @@ class RegularCrossAttention:
         m, hd = self.heads, self.head_dim
 
         def heads(x: Var, n: int, name: str) -> Var:  # [..., n, D] -> [..., m, n, hd]
-            x = ad.linear_op(x, P[f"{pre}.{name}_w"], P[f"{pre}.{name}_b"])
+            x = ad.matmul(x, P[f"{pre}.{name}_w"], P[f"{pre}.{name}_b"])
             return ad.swapaxes(ad.reshape(x, lead + (n, m, hd)), -3, -2)
 
         q, k, v = heads(query, nq, "q"), heads(value, nv, "k"), heads(value, nv, "v")
-        scores = ad.matmul(ad.scale(q, 1.0 / math.sqrt(hd)), ad.swapaxes(k, -1, -2))
-        out = ad.matmul(ad.softmax_op(scores), v)  # [..., m, Nq, hd]
+        out = attend(q, k, v, hd)  # [..., m, Nq, hd]
         out = ad.reshape(ad.swapaxes(out, -3, -2), lead + (nq, self.dim))
-        return ad.linear_op(out, P[f"{pre}.out_w"], P[f"{pre}.out_b"])
+        return ad.matmul(out, P[f"{pre}.out_w"], P[f"{pre}.out_b"])
 
 
 class InteractionDirection:
-    """Learnable state for one ``src -> dst`` update at one interaction point."""
+    """Learnable state for one ``src -> dst`` update at one interaction point.
+
+    Its parameters are named ``interaction{point}.pair{lo}_{hi}.to{dst}.*``,
+    where ``lo < hi`` are the two branches it links.
+    """
 
     def __init__(
-        self, prefix: str, dst_dim: int, src_dim: int, schedule: InteractionSchedule
+        self, point: int, src: int, dst: int, dims: dict[int, int], schedule: InteractionSchedule
     ) -> None:
-        self.prefix = prefix
-        self.dst_dim = dst_dim
-        self.src_dim = src_dim
+        self.src = src
+        self.dst = dst
+        lo, hi = sorted((src, dst))
+        self.prefix = f"interaction{point}.pair{lo}_{hi}.to{dst}"
+        self.dst_dim = dst_dim = dims[dst]
+        self.src_dim = dims[src]
         self.hidden = ffn_hidden(dst_dim, schedule.ffn_ratio)
         if schedule.attention_impl is AttentionImpl.DEFORMABLE:
             self.attn: DeformableCrossAttention | RegularCrossAttention = (
                 DeformableCrossAttention(
-                    f"{prefix}.attn",
+                    f"{self.prefix}.attn",
                     dst_dim,
                     deform_heads_for(dst_dim, schedule),
                     schedule.deform_points,
@@ -160,7 +165,7 @@ class InteractionDirection:
             )
         else:
             self.attn = RegularCrossAttention(
-                f"{prefix}.attn", dst_dim, deform_heads_for(dst_dim, schedule)
+                f"{self.prefix}.attn", dst_dim, deform_heads_for(dst_dim, schedule)
             )
 
     def declare(self, ps: ParamSpec) -> None:
@@ -185,7 +190,7 @@ class InteractionDirection:
     def forward(self, P: Params, dst: FeatureMap, src: FeatureMap) -> Var:
         """New tokens for the destination branch (same shape as dst.tokens)."""
         pre = self.prefix
-        reconciled = ad.linear_op(src.tokens, P[f"{pre}.fc_w"], P[f"{pre}.fc_b"])
+        reconciled = ad.matmul(src.tokens, P[f"{pre}.fc_w"], P[f"{pre}.fc_b"])
         qn = ad.layer_norm_op(dst.tokens, P[f"{pre}.qln_g"], P[f"{pre}.qln_b"])
         vn = ad.layer_norm_op(reconciled, P[f"{pre}.vln_g"], P[f"{pre}.vln_b"])
         attn_out = self.attn.forward(
@@ -193,80 +198,39 @@ class InteractionDirection:
         )
         gated = ad.add(dst.tokens, ad.mul(attn_out, P[f"{pre}.gamma"]))
         fn = ad.layer_norm_op(gated, P[f"{pre}.fln_g"], P[f"{pre}.fln_b"])
-        fn = ad.linear_op(fn, P[f"{pre}.ffn1_w"], P[f"{pre}.ffn1_b"])
+        fn = ad.matmul(fn, P[f"{pre}.ffn1_w"], P[f"{pre}.ffn1_b"])
         fn = ad.gelu_op(fn)
-        fn = ad.linear_op(fn, P[f"{pre}.ffn2_w"], P[f"{pre}.ffn2_b"])
+        fn = ad.matmul(fn, P[f"{pre}.ffn2_w"], P[f"{pre}.ffn2_b"])
         return ad.add(gated, ad.mul(fn, P[f"{pre}.tau"]))
 
 
-class InteractionUnit:
-    """Both directions between one branch pair at one interaction point."""
-
-    def __init__(
-        self,
-        prefix: str,
-        pair: tuple[int, int],  # 1-based (low, high), low < high
-        dims: dict[int, int],
-        directions: tuple[tuple[int, int], ...],
-        schedule: InteractionSchedule,
-    ) -> None:
-        self.pair = pair
-        lo, hi = pair
-        self.directions: list[tuple[int, InteractionDirection]] = []
-        for src, dst in ((lo, hi), (hi, lo)):
-            if (src, dst) in directions:
-                self.directions.append(
-                    (
-                        dst,
-                        InteractionDirection(
-                            f"{prefix}.to{dst}", dims[dst], dims[src], schedule
-                        ),
-                    )
-                )
-
-    def declare(self, ps: ParamSpec) -> None:
-        for _, direction in self.directions:
-            direction.declare(ps)
-
-    def forward(
-        self, P: Params, states: dict[int, FeatureMap]
-    ) -> list[tuple[int, Var]]:
-        """Per-direction updated tokens, computed from pre-update states."""
-        out = []
-        lo, hi = self.pair
-        for dst, direction in self.directions:
-            src = hi if dst == lo else lo
-            out.append((dst, direction.forward(P, states[dst], states[src])))
-        return out
-
-
-def build_interaction_units(
+def build_interaction_directions(
     point_index: int,
     dims: dict[int, int],
     schedule: InteractionSchedule,
-) -> list[InteractionUnit]:
-    """Units for one interaction point, one per linked branch pair, ordered."""
-    pairs = sorted({(min(s, d), max(s, d)) for s, d in schedule.directions})
-    units = []
-    for lo, hi in pairs:
-        prefix = f"interaction{point_index}.pair{lo}_{hi}"
-        units.append(InteractionUnit(prefix, (lo, hi), dims, schedule.directions, schedule))
-    return units
+) -> list[InteractionDirection]:
+    """The directions of one interaction point, in declaration order.
+
+    Pairs come in ascending order, and within a pair ``lo -> hi`` comes
+    before ``hi -> lo``.
+    """
+    order = sorted(schedule.directions, key=lambda sd: (min(sd), max(sd), sd[0] > sd[1]))
+    return [InteractionDirection(point_index, src, dst, dims, schedule) for src, dst in order]
 
 
 def apply_interaction_point(
-    P: Params, states: list[FeatureMap], units: list[InteractionUnit]
+    P: Params, states: list[FeatureMap], directions: list[InteractionDirection]
 ) -> list[FeatureMap]:
-    """Run every unit against the incoming states, then apply all updates.
+    """Run every direction against the incoming states and apply all updates.
 
-    Each unit sees the features as they were *before* this interaction point;
-    a branch updated by several units accumulates the per-unit deltas in pair
-    order on top of its original tokens.
+    Each direction sees the features as they were *before* this interaction
+    point; a branch updated by several directions accumulates the deltas in
+    list order on top of its original tokens.
     """
     by_id = {s.branch_id: s for s in states}
     new_tokens: dict[int, Var] = {s.branch_id: s.tokens for s in states}
-    for unit in units:
-        for dst, updated in unit.forward(P, by_id):
-            delta = ad.sub(updated, by_id[dst].tokens)
-            new_tokens[dst] = ad.add(new_tokens[dst], delta)
+    for d in directions:
+        dst = by_id[d.dst]
+        delta = ad.sub(d.forward(P, dst, by_id[d.src]), dst.tokens)
+        new_tokens[d.dst] = ad.add(new_tokens[d.dst], delta)
     return [replace(s, tokens=new_tokens[s.branch_id]) for s in states]

@@ -66,7 +66,7 @@ class MergeModule:
             y = ad.group_norm_op(y, groups, P[f"{pre}.gn_g"], P[f"{pre}.gn_b"])
             y = ad.gelu_op(y)
             return ad.conv2d_op(y, P[f"{pre}.conv2_k"], P[f"{pre}.conv2_b"], padding=1)
-        y = ad.linear_op(grid, P[f"{pre}.lin_w"], P[f"{pre}.lin_b"])
+        y = ad.matmul(grid, P[f"{pre}.lin_w"], P[f"{pre}.lin_b"])
         return ad.group_norm_op(y, groups, P[f"{pre}.gn_g"], P[f"{pre}.gn_b"])
 
     def forward(self, P: Params, states: list[FeatureMap]) -> Var:
@@ -107,7 +107,7 @@ class ClassificationHead:
         pre = f"head{state.branch_id}"
         pooled = ad.mean_op(state.tokens, axis=-2)  # [..., D]
         pooled = ad.layer_norm_op(pooled, P[f"{pre}.ln_g"], P[f"{pre}.ln_b"])
-        return ad.linear_op(pooled, P[f"{pre}.w"], P[f"{pre}.b"])  # [..., classes]
+        return ad.matmul(pooled, P[f"{pre}.w"], P[f"{pre}.b"])  # [..., classes]
 
     def forward(self, P: Params, states: list[FeatureMap]) -> tuple[list[Var], Var]:
         per_branch = [self.branch_logits(P, s) for s in states]

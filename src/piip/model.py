@@ -26,7 +26,7 @@ from .config import (
     interaction_positions,
     validate,
 )
-from .interaction import InteractionUnit, apply_interaction_point, build_interaction_units
+from .interaction import apply_interaction_point, build_interaction_directions
 from .merging import ClassificationHead, MergeModule
 from .params import ParamSpec, allocate
 
@@ -53,8 +53,8 @@ class PiipModel:
         depth = cfg.branches[0].depth
         self.positions = interaction_positions(depth, cfg.interactions.count)
         dims = {i + 1: spec.dim for i, spec in enumerate(cfg.branches)}
-        self.interaction_units: list[list[InteractionUnit]] = [
-            build_interaction_units(p + 1, dims, cfg.interactions)
+        self.interaction_points = [  # one list of directions per point
+            build_interaction_directions(p + 1, dims, cfg.interactions)
             for p in range(len(self.positions))
         ]
         self.merge: MergeModule | None = None
@@ -67,9 +67,9 @@ class PiipModel:
         self.param_spec = ParamSpec()
         for branch in self.branches:
             branch.declare(self.param_spec)
-        for units in self.interaction_units:
-            for unit in units:
-                unit.declare(self.param_spec)
+        for directions in self.interaction_points:
+            for direction in directions:
+                direction.declare(self.param_spec)
         if self.merge is not None:
             self.merge.declare(self.param_spec)
         if self.head is not None:
@@ -116,12 +116,12 @@ class PiipModel:
         depth = self.config.branches[0].depth
         states = [branch.embed_forward(P, img_var) for branch in self.branches]
         cursor = 0
-        for units, pos in zip(self.interaction_units, self.positions):
+        for directions, pos in zip(self.interaction_points, self.positions):
             states = [
                 branch.segment(P, state, cursor, pos)
                 for branch, state in zip(self.branches, states)
             ]
-            states = apply_interaction_point(P, states, units)
+            states = apply_interaction_point(P, states, directions)
             cursor = pos
         states = [
             branch.segment(P, state, cursor, depth)

@@ -168,7 +168,7 @@ def test_criterion_09_kernel_oracles(criterion):
         x = rng.standard_normal((n, din))
         w = rng.standard_normal((din, dout))
         b = rng.standard_normal(dout)
-        gap("linear", ad.linear_op(ad.as_var(x), ad.as_var(w), ad.as_var(b)).value,
+        gap("linear", ad.matmul(ad.as_var(x), ad.as_var(w), ad.as_var(b)).value,
             ref.linear_ref(x, w, b))
 
         g = rng.standard_normal(din)

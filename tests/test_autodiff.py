@@ -133,7 +133,7 @@ def test_linear_op():
     x = RNG.standard_normal((5, 3))
     w = RNG.standard_normal((3, 4))
     b = RNG.standard_normal(4)
-    assert fd_max_err(lambda v: scalarize(ad.linear_op(v[0], v[1], v[2])), [x, w, b]) <= TOL
+    assert fd_max_err(lambda v: scalarize(ad.matmul(v[0], v[1], v[2])), [x, w, b]) <= TOL
 
 
 def test_cross_entropy_op():

@@ -1,7 +1,9 @@
 """Config parsing, rendering, validation, and schedule helpers."""
 
 import configparser
+import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -147,6 +149,24 @@ def test_huge_window_is_a_validation_error():
         cf.parse_config(text)
 
 
+@pytest.mark.parametrize("window", [36, 10**400], ids=["36", "10**400"])
+def test_window_larger_than_grid_is_a_validation_error(window):
+    # windowed(36) on a 4x4 grid attended over 20 zero-padding tokens, and
+    # windowed(10**400) validated, then raised a TypeError from np.pad in forward
+    cfg = cf.preset("piip-tiny-test")  # branch 3: 64 px in 16 px patches, a 4x4 grid
+
+    def with_window(tokens):
+        b3 = replace(cfg.branches[2], attention_mode=cf.AttentionKind.WINDOWED,
+                     window_tokens=tokens)
+        return replace(cfg, branches=cfg.branches[:2] + (b3,))
+
+    cf.validate(with_window(16))  # a window as large as the grid is fine
+    side = math.isqrt(window)
+    with pytest.raises(cf.ValidationError,
+                       match=f"branch 3: window side {side} exceeds the token grid side 4"):
+        cf.validate(with_window(window))
+
+
 def test_dims_must_not_increase():
     text = MINIMAL.replace("dim = 8", "dim = 24")
     with pytest.raises(cf.ValidationError, match="non-increasing"):
@@ -247,7 +267,8 @@ def valid_configs(draw):
                                           **common))
             continue
         heads = draw(st.sampled_from([h for h in range(1, dim + 1) if dim % h == 0]))
-        window = draw(st.one_of(st.none(), st.integers(1, 4).map(lambda s: s * s)))
+        side = st.integers(1, min(4, resolution // patch))  # a window fits in its grid
+        window = draw(st.one_of(st.none(), side.map(lambda s: s * s)))
         mode = cf.AttentionKind.GLOBAL if window is None else cf.AttentionKind.WINDOWED
         branches.append(cf.BranchSpec(heads=heads, attention_mode=mode, window_tokens=window,
                                       **common))

@@ -16,7 +16,7 @@ oracle. Branch arithmetic, dims 32/16/8, patch 16, depth 2, MLP ratio 4:
     embed 6_152, pos 128
     block: 16 + 216 + 72 + 16 + 288 + 264 = 872 -> total 8_024
 
-  interaction units (K=4, value/out at half width, FFN at quarter width,
+  interaction directions (K=4, value/out at half width, FFN at quarter width,
   deform heads = max(1, d // 8)); per destination d_dst with source d_src:
     to1 (d=32, src 16, M=4): fc 544 + norms 192 + val 528 + out 544
         + off 1_056 + wt 528 + gates 64 + ffn 552            = 4_008
@@ -164,14 +164,13 @@ def test_huge_square_window_prices_in_exact_integers():
     # validate took an integer root of window_tokens, but the cost model and
     # the branch took a float one, which overflowed past 1e308
     wt = 10**400
-    branch = dataclasses.replace(
-        TINY.branches[2], attention_mode=AttentionKind.WINDOWED, window_tokens=wt
-    )
+    # a window may not exceed its grid, so the grid is 10**200 tokens on a side
+    glob = dataclasses.replace(TINY.branches[2], resolution=16 * 10**200)
+    branch = dataclasses.replace(glob, attention_mode=AttentionKind.WINDOWED, window_tokens=wt)
     cfg = validate(dataclasses.replace(TINY, branches=TINY.branches[:2] + (branch,)))
-    # one window over the 4x4 grid, padded to the window: 2 * t * t * d per block
-    glob = cost_report(TINY).entry("branch3").flops
-    quad = 2 * 16 * 16 * 8
-    assert cost_report(cfg).entry("branch3").flops == glob + 2 * (2 * wt * wt * 8 - quad)
+    # one window covering the whole grid costs exactly what global attention does
+    want = cost_report(dataclasses.replace(TINY, branches=TINY.branches[:2] + (glob,)))
+    assert cost_report(cfg).entry("branch3").flops == want.entry("branch3").flops
     assert PiipModel(cfg, materialize=False).branches[2].blocks[0].window_side == 10**200
 
 

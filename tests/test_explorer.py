@@ -98,16 +98,25 @@ def test_parse_sweep_spec_errors():
         explorer.parse_sweep_spec("[sweep]\nbase = piip-tiny-test\nresolutions.1 = 20\n")
     with pytest.raises(ParseError, match="budget_gflops"):
         explorer.parse_sweep_spec("[sweep]\nbase = piip-tiny-test\nbudget_gflops = abc\n")
+    # a range is expanded in full, so its length is bounded before it is expanded
+    stop = 16 * (explorer.MAX_RANGE_VALUES + 1)
+    spec = explorer.parse_sweep_spec(
+        f"[sweep]\nbase = piip-tiny-test\nresolutions.3 = 16:{stop}:16\n"
+    )
+    assert len(spec.resolutions[2]) == explorer.MAX_RANGE_VALUES
+    for stop, count in ((16000000064, 10**9), (16 * 10**30 + 64, 10**30)):
+        with pytest.raises(ParseError, match=rf"resolutions.3: range .* has {count} values"):
+            explorer.parse_sweep_spec(
+                f"[sweep]\nbase = piip-tiny-test\nresolutions.3 = 64:{stop}:16\n"
+            )
     # "²" is a digit to str.isdigit but not to int(), which used to raise a bare ValueError
     for key in ("resolutions.x", "resolutions.", "resolutions.-1", "resolutions.²"):
         with pytest.raises(ParseError, match="resolutions.<N>"):
             explorer.parse_sweep_spec(f"[sweep]\nbase = piip-tiny-test\n{key} = 16\n")
 
 
-# Free text holds no ':' because a valid range is expanded in full, so one
-# with a huge stop would exhaust memory; ranges come from bounded integers.
 SPEC_VALUES = st.one_of(
-    st.text(max_size=12).filter(lambda t: ":" not in t),
+    st.text(max_size=12),
     st.text("0123456789-+,. eaninf", max_size=12),
     st.lists(st.integers(-64, 600), min_size=1, max_size=4).map(lambda v: ", ".join(map(str, v))),
     st.tuples(st.integers(-64, 600), st.integers(-64, 600), st.integers(-8, 64)).map(

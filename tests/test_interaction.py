@@ -1,15 +1,16 @@
-"""Interaction units: gating, deformable attention behavior, simultaneity."""
+"""Interaction directions: gating, deformable attention behavior, simultaneity."""
 
 import numpy as np
 
 from piip import autodiff as ad
 from piip.branches import FeatureMap
-from piip.config import AttentionImpl, InteractionSchedule
+from piip.config import AttentionImpl, InteractionSchedule, preset
 from piip.interaction import (
     DeformableCrossAttention,
     apply_interaction_point,
-    build_interaction_units,
+    build_interaction_directions,
 )
+from piip.model import PiipModel
 from piip.params import ParamSpec, allocate
 from piip.primitives import reference_points
 
@@ -25,30 +26,30 @@ def make_states(dims=(16, 8), grids=((2, 2), (4, 4))):
 
 
 def build_point(schedule, dims=(16, 8), grids=((2, 2), (4, 4)), seed=0):
-    units = build_interaction_units(1, {i + 1: d for i, d in enumerate(dims)}, schedule)
+    directions = build_interaction_directions(1, {i + 1: d for i, d in enumerate(dims)}, schedule)
     ps = ParamSpec()
-    for u in units:
-        u.declare(ps)
+    for d in directions:
+        d.declare(ps)
     P = {k: ad.leaf(v) for k, v in allocate(ps, seed).items()}
-    return units, P, make_states(dims, grids)
+    return directions, P, make_states(dims, grids)
 
 
 def test_zero_gates_are_identity():
     sched = InteractionSchedule(count=1, directions=((1, 2), (2, 1)))
-    units, P, states = build_point(sched)
-    out = apply_interaction_point(P, states, units)
+    directions, P, states = build_point(sched)
+    out = apply_interaction_point(P, states, directions)
     for before, after in zip(states, out):
         assert np.array_equal(before.tokens.value, after.tokens.value)
 
 
 def test_unidirectional_leaves_source_untouched():
     sched = InteractionSchedule(count=1, directions=((1, 2),))  # only 1 -> 2
-    units, P, states = build_point(sched)
+    directions, P, states = build_point(sched)
     # open the gates so the destination actually changes
     for name in list(P):
         if name.endswith((".gamma", ".tau")):
             P[name] = ad.leaf(np.full(P[name].shape, 0.3))
-    out = apply_interaction_point(P, states, units)
+    out = apply_interaction_point(P, states, directions)
     assert np.array_equal(out[0].tokens.value, states[0].tokens.value)  # src: branch 1
     assert not np.array_equal(out[1].tokens.value, states[1].tokens.value)
 
@@ -57,15 +58,15 @@ def test_middle_branch_accumulates_both_pair_deltas():
     sched = InteractionSchedule(count=1, directions=((1, 2), (2, 1), (2, 3), (3, 2)))
     dims = (16, 12, 8)
     grids = ((2, 2), (2, 2), (4, 4))
-    units, P, states = build_point(sched, dims, grids)
+    directions, P, states = build_point(sched, dims, grids)
     for name in list(P):
         if name.endswith((".gamma", ".tau")):
             P[name] = ad.leaf(np.full(P[name].shape, 0.25))
-    out = apply_interaction_point(P, states, units)
+    out = apply_interaction_point(P, states, directions)
 
     # apply each pair alone; branch 2's total update is the sum of both deltas
-    only_a = apply_interaction_point(P, states, [units[0]])
-    only_b = apply_interaction_point(P, states, [units[1]])
+    only_a = apply_interaction_point(P, states, directions[:2])  # pair 1-2
+    only_b = apply_interaction_point(P, states, directions[2:])  # pair 2-3
     delta_a = only_a[1].tokens.value - states[1].tokens.value
     delta_b = only_b[1].tokens.value - states[1].tokens.value
     combined = out[1].tokens.value - states[1].tokens.value
@@ -181,11 +182,11 @@ def test_regular_impl_attends_densely():
         count=1, directions=((1, 2), (2, 1)), attention_impl=AttentionImpl.REGULAR,
         deform_heads=2,
     )
-    units, P, states = build_point(sched)
+    directions, P, states = build_point(sched)
     for name in list(P):
         if name.endswith((".gamma", ".tau")):
             P[name] = ad.leaf(np.full(P[name].shape, 0.2))
-    out = apply_interaction_point(P, states, units)
+    out = apply_interaction_point(P, states, directions)
     assert not np.array_equal(out[0].tokens.value, states[0].tokens.value)
     assert out[0].tokens.shape == states[0].tokens.shape
 
@@ -193,13 +194,13 @@ def test_regular_impl_attends_densely():
 def test_direction_forward_matches_gate_composition():
     # F-hat = F + gamma * attn(...); F-tilde = F-hat + tau * ffn(F-hat)
     sched = InteractionSchedule(count=1, directions=((2, 1),))
-    units, P, states = build_point(sched)
+    directions, P, states = build_point(sched)
     gamma = RNG.standard_normal(16) * 0.1
     tau = RNG.standard_normal(16) * 0.1
     pre = "interaction1.pair1_2.to1"
     P[f"{pre}.gamma"] = ad.leaf(gamma)
     P[f"{pre}.tau"] = ad.leaf(np.zeros(16))
-    direction = units[0].directions[0][1]
+    (direction,) = directions
     half = direction.forward(P, states[0], states[1]).value
     attn_term = (half - states[0].tokens.value) / gamma  # recover raw attention
 
@@ -211,14 +212,25 @@ def test_direction_forward_matches_gate_composition():
     np.testing.assert_allclose(full, recon, atol=1e-10)
 
 
-def test_interaction_units_sorted_by_pair():
+def test_interaction_directions_sorted_by_pair():
     sched = InteractionSchedule(count=1, directions=((3, 2), (1, 2), (2, 3)))
-    units = build_interaction_units(4, {1: 16, 2: 12, 3: 8}, sched)
-    assert [u.pair for u in units] == [(1, 2), (2, 3)]
+    directions = build_interaction_directions(4, {1: 16, 2: 12, 3: 8}, sched)
+    # pairs ascending, and lo -> hi before hi -> lo within a pair
+    assert [(d.src, d.dst) for d in directions] == [(1, 2), (2, 3), (3, 2)]
     names = ParamSpec()
-    for u in units:
-        u.declare(names)
+    for d in directions:
+        d.declare(names)
     assert any(n.startswith("interaction4.pair1_2.to2.") for n in names.names())
     assert any(n.startswith("interaction4.pair2_3.to") for n in names.names())
     # no 2 -> 1 direction was requested, so no .to1 parameters exist
     assert not any(".to1." in n for n in names.names())
+
+
+def test_tiny_preset_declares_directions_in_pair_order():
+    # params.allocate draws initial values in declaration order, so this
+    # order fixes every seeded initialization
+    spec = PiipModel(preset("piip-tiny-test"), materialize=False).param_spec
+    prefixes = [".".join(n.split(".")[:3]) for n in spec.names() if n.startswith("interaction")]
+    want = [f"interaction{p}.pair{pair}.to{dst}"
+            for p in (1, 2) for pair, dst in (("1_2", 2), ("1_2", 1), ("2_3", 3), ("2_3", 2))]
+    assert list(dict.fromkeys(prefixes)) == want

@@ -24,7 +24,7 @@ def test_linear_matches_oracle():
         x = RNG.standard_normal((n, din))
         w = RNG.standard_normal((din, dout))
         b = RNG.standard_normal(dout)
-        got = ad.linear_op(ad.as_var(x), ad.as_var(w), ad.as_var(b)).value
+        got = ad.matmul(ad.as_var(x), ad.as_var(w), ad.as_var(b)).value
         assert np.abs(got - np.array(ref.linear_ref(x, w, b))).max() <= TOL
 
 
