@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A tiny tape: each ``Var`` records its parents and a vector-Jacobian-product
-closure. Forward values are produced by the kernels in :mod:`piip.primitives`
-wherever one exists, so the differentiable path and the plain-numpy path
-compute identical numbers. Backward passes are hand-written per op and are
-validated end-to-end by finite differences in the test-suite/harness.
+closure. Each kernel has one entry point, its op here, which computes the
+forward value and holds the vjp; the helpers the ops share live in
+:mod:`piip.primitives`. A plain-array forward is ``op(leaf(x), ...).value``.
+Forwards are checked against the scalar oracles of the test-suite, and the
+hand-written backward passes end-to-end by finite differences.
 
 Every op takes any number of leading axes: tokens are ``[..., N, D]``, maps
 ``[..., H, W, C]`` and sampling points ``[..., N, 2]``. A single image is the
@@ -22,6 +23,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import erf
 
 from . import primitives as prim
 
@@ -274,7 +276,10 @@ def weighted_sum_op(x: Var, w: Var) -> Var:
 
 
 def softmax_op(a: Var) -> Var:
-    y = prim.softmax(a.value)
+    """Max-shifted softmax over the last axis; safe for large magnitudes."""
+    y = a.value - np.maximum.reduce(a.value, axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
 
     def vjp(g: Array) -> tuple[Array]:
         dot = np.add.reduce(g * y, axis=-1, keepdims=True)
@@ -288,7 +293,9 @@ def softmax_op(a: Var) -> Var:
 def gelu_op(a: Var) -> Var:
     """Exact Gaussian-error-function form: 0.5 * x * (1 + erf(x / sqrt(2)))."""
     x = a.value
-    cdf2 = prim.erf_plus_one(x)
+    cdf2 = x * (1.0 / np.sqrt(2.0))  # 1 + erf(x / sqrt(2)), twice the normal CDF
+    erf(cdf2, out=cdf2)
+    cdf2 += 1.0
     # the vjp reuses the erf term; a node that keeps no vjp finishes in its buffer
     out = cdf2 * x if a.needs_grad else np.multiply(cdf2, x, out=cdf2)
     out *= 0.5
@@ -349,7 +356,9 @@ def group_norm_op(x: Var, groups: int, gain: Var, shift: Var, eps: float = 1e-6)
     gshape = xv.shape[:-1] + (groups, c // groups)
     red = prim.GROUP_AXES
     out, mu, s = prim.standardize(xv.reshape(gshape), red, eps)
-    out = prim.affine_in_place(out.reshape(xv.shape), gain.value, shift.value)
+    out = out.reshape(xv.shape)
+    out *= gain.value
+    out += shift.value
 
     def vjp(g: Array) -> tuple[Array | None, Array, Array]:
         xhat = xv.reshape(gshape) - mu
@@ -407,8 +416,15 @@ def _col2im(
 def conv2d_op(
     x: Var, kernel: Var, bias: Var | None, stride: int = 1, padding: int = 0
 ) -> Var:
+    """Cross-correlate [..., H, W, Cin] maps with a [kh, kw, Cin, Cout] kernel."""
     kh, kw, cin, cout = kernel.shape
-    out = prim.conv2d(x.value, kernel.value, None if bias is None else bias.value, stride, padding)
+    if cin != x.shape[-1]:
+        raise ValueError(f"conv2d: kernel expects {cin} input channels, map has {x.shape[-1]}")
+    cols, out_h, out_w = prim.im2col(x.value, kh, kw, stride, padding)
+    out = cols @ kernel.value.reshape(kh * kw * cin, cout)  # [..., out_h*out_w, Cout]
+    if bias is not None:
+        out += bias.value
+    out = out.reshape(*x.shape[:-3], out_h, out_w, cout)
 
     def vjp(g: Array) -> tuple[Array | None, Array | None, Array | None]:
         gf = g.reshape(-1, cout)
@@ -427,9 +443,20 @@ def conv2d_op(
 
 
 def depthwise_conv_op(x: Var, kernel: Var, bias: Var | None = None) -> Var:
+    """Per-channel convolution of [..., H, W, C] maps with a [kh, kw, C] kernel.
+
+    Same-size output: stride 1, padding kh // 2.
+    """
     kh, kw, c = kernel.shape
+    if c != x.shape[-1]:
+        raise ValueError(f"depthwise_conv: kernel has {c} channels, map has {x.shape[-1]}")
     pad = kh // 2
-    out = prim.depthwise_conv(x.value, kernel.value, None if bias is None else bias.value)
+    cols, out_h, out_w = prim.im2col(x.value, kh, kw, 1, pad)
+    cols = cols.reshape(*cols.shape[:-1], kh * kw, c)
+    out = np.einsum("...nkc,kc->...nc", cols, kernel.value.reshape(kh * kw, c))
+    if bias is not None:
+        out += bias.value
+    out = out.reshape(*x.shape[:-3], out_h, out_w, c)
 
     def vjp(g: Array) -> tuple[Array | None, Array | None, Array | None]:
         gf = g.reshape(-1, c)  # every output position of every map
@@ -448,25 +475,59 @@ def depthwise_conv_op(x: Var, kernel: Var, bias: Var | None = None) -> Var:
 
 
 def _resize_matrix(n_out: int, n_in: int) -> Array:
-    """[n_out, n_in] weights of the 1-D lerp that ``bilinear_resize`` applies per axis."""
+    """[n_out, n_in] weights of the 1-D lerp that ``bilinear_resize_op`` applies per axis."""
     lo, hi, t = prim.lerp_taps(n_out, n_in)
     m = np.zeros((n_out, n_in))
     rows = np.arange(n_out)
-    np.add.at(m, (rows, lo), 1.0 - t)
-    np.add.at(m, (rows, hi), t)
+    m[rows, lo] = 1.0 - t  # one lower and one upper tap per row; they coincide when clamped
+    m[rows, hi] += t
     return m
 
 
 def bilinear_resize_op(img: Var, out_h: int, out_w: int) -> Var:
+    """Resize [..., H, W, C] maps with pixel-center alignment and edge clamping.
+
+    Same-size resize is an exact copy; constant maps stay exactly constant.
+    """
+    *lead, h, w, c = img.shape
+    if out_h < 1 or out_w < 1:
+        raise ValueError(f"bilinear_resize: bad output size {out_h}x{out_w}")
+    y0, y1, ty = prim.lerp_taps(out_h, h)
+    x0, x1, tx = prim.lerp_taps(out_w, w)
+    # Each corner is one gather of whole pixels (C values each); the lerps then
+    # run over [..., out_h, out_w*C] rows with the x weight repeated per
+    # channel, so no inner loop is only C long.
+    pixels = img.value.reshape(*lead, h * w, c)
+    rows = (*lead, out_h, out_w * c)
+    y0 = y0[:, None] * w
+    y1 = y1[:, None] * w
+    tx = tx.repeat(c)
+    ty = ty[:, None]
+    # Lerp form a + t*(b - a), exact for t == 0 and for constant maps; worked
+    # in place so at most three output-sized buffers are live at once.
+    top = np.take(pixels, (y0 + x0).ravel(), axis=-2).reshape(rows)
+    step = np.take(pixels, (y0 + x1).ravel(), axis=-2).reshape(rows)
+    step -= top
+    step *= tx
+    top += step
+    bot = np.take(pixels, (y1 + x0).ravel(), axis=-2).reshape(rows)
+    step = np.take(pixels, (y1 + x1).ravel(), axis=-2).reshape(rows)
+    step -= bot
+    step *= tx
+    bot += step
+    del step
+    bot -= top
+    bot *= ty
+    top += bot
+
     def vjp(g: Array) -> tuple[Array]:
         # The resize is separable: out = Ry @ img @ Rx^T per channel.
-        *lead, h, w, c = img.shape
         ry = _resize_matrix(out_h, h)
         rx = _resize_matrix(out_w, w)
         rows = ry.T @ g.reshape(*lead, out_h, out_w * c)  # [..., H, out_w*C]
         return (rx.T @ rows.reshape(*lead, h, out_w, c),)
 
-    return Var(prim.bilinear_resize(img.value, out_h, out_w), (img,), vjp)
+    return Var(top.reshape(*lead, out_h, out_w, c), (img,), vjp)
 
 
 def bilinear_sample_op(img: Var, points: Var) -> Var:

@@ -31,7 +31,7 @@ from .config import PRESET_NAMES, PyramidConfig, parse_config, preset, render_co
 from .costmodel import cost_report
 from .interaction import DeformableCrossAttention
 from .model import AdamW, PiipModel
-from .primitives import bilinear_resize, bilinear_sample, reference_points
+from .primitives import reference_points
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +348,7 @@ def make_dataset(
     labels = rng.integers(0, task.classes, size=n)
     for i in range(n):
         base = rng.random((4, 4, 3)) * task.background_level
-        img = bilinear_resize(base, c, c)  # smooth low-frequency field
+        img = ad.bilinear_resize_op(ad.leaf(base), c, c).value  # smooth low-frequency field
         y0 = int(rng.integers(0, c - g + 1))
         x0 = int(rng.integers(0, c - g + 1))
         mask = glyphs[labels[i]][:, :, None]
@@ -409,6 +409,12 @@ def train_accuracy(model: PiipModel, images: np.ndarray, labels: np.ndarray) -> 
     """
     if model.head is None:
         raise ValueError("train_accuracy needs a classification-mode model")
+    labels = np.asarray(labels, dtype=np.int64)
+    if len(images) == 0 or labels.shape != (len(images),):
+        raise ValueError(
+            f"train_accuracy needs a non-empty batch and one label per image, got "
+            f"{len(images)} images and labels of shape {labels.shape}"
+        )
     correct = 0
     for start in range(0, len(images), ACCURACY_BATCH):
         stop = start + ACCURACY_BATCH
@@ -424,6 +430,10 @@ def train_accuracy(model: PiipModel, images: np.ndarray, labels: np.ndarray) -> 
 
 def high_freq_fraction(fmap: FeatureMap, cutoff: float = 0.25) -> float:
     """Share of spectral energy above ``cutoff`` cycles/sample (half-Nyquist)."""
+    if len(fmap.tokens.shape) != 2:
+        raise ValueError(
+            f"high_freq_fraction takes one map's [N, D] tokens, got shape {fmap.tokens.shape}"
+        )
     if fmap.grid_h < 4 or fmap.grid_w < 4:
         raise ValueError("high_freq_fraction needs a grid of at least 4x4")
     plane = fmap.as_grid().mean(axis=2)
@@ -490,7 +500,7 @@ def check_config_round_trip() -> Verdict:
 
 def check_sampling_grid_centers() -> Verdict:
     fmap = np.random.default_rng(11).standard_normal((8, 8, 5))
-    got = bilinear_sample(fmap, reference_points(8, 8))
+    got = ad.bilinear_sample_op(ad.leaf(fmap), ad.leaf(reference_points(8, 8))).value
     err = float(np.abs(got - fmap.reshape(64, 5)).max())
     return Verdict("bilinear sampling exact at grid centers", err == 0.0, f"max err {err:g}")
 

@@ -1,7 +1,7 @@
-"""Dense numeric kernels shared by every layer in the package.
+"""Numeric helpers that the ops of :mod:`piip.autodiff` share.
 
-Everything here is plain numpy in double precision, written so that a
-scalar-loop re-implementation produces the same numbers to ~1e-9 or better.
+Statistics, resize taps, sampling plans, patch unfolding and reference
+points, in plain double-precision numpy; none is the forward of an op.
 Conventions used throughout the package:
 
   * image / feature grids are ``(H, W, C)`` float64 arrays
@@ -10,8 +10,8 @@ Conventions used throughout the package:
     ``(..., N, D)`` and sampling points ``(..., N, 2)``; a single image has none
   * sampling coordinates are normalized ``(x, y)`` in ``[0, 1]^2`` with pixel
     centers at ``((j + 0.5) / W, (i + 0.5) / H)`` (align-corners = false)
-  * ``bilinear_resize`` clamps at the border (constant maps stay constant);
-    ``bilinear_sample`` zero-pads out-of-bounds contributions
+  * a resize (``lerp_taps``) clamps at the border, so constant maps stay
+    constant; sampling (``sampling_plan``) zero-pads out-of-bounds contributions
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
-from scipy.special import erf
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # GroupNorm statistics axes of a [..., H, W, groups, C/groups] view
 GROUP_AXES = (-4, -3, -1)
 
@@ -46,38 +44,6 @@ def standardize(
     return out, mu, s
 
 
-def affine_in_place(
-    out: np.ndarray, gain: np.ndarray | None, shift: np.ndarray | None
-) -> np.ndarray:
-    """``out * gain + shift`` in place; either factor may be absent."""
-    if gain is not None:
-        out *= gain
-    if shift is not None:
-        out += shift
-    return out
-
-
-def softmax(x: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax over the last axis; safe for large magnitudes."""
-    x = np.asarray(x, dtype=np.float64)
-    out = x - np.maximum.reduce(x, axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    out /= np.add.reduce(out, axis=-1, keepdims=True)
-    return out
-
-
-def erf_plus_one(x: np.ndarray) -> np.ndarray:
-    """``1 + erf(x / sqrt(2))``, twice the standard normal CDF, in a new buffer.
-
-    GELU is ``0.5 * x * erf_plus_one(x)`` (``autodiff.gelu_op``), whose
-    gradient reuses this term.
-    """
-    out = x * _INV_SQRT2
-    erf(out, out=out)
-    out += 1.0
-    return out
-
-
 def lerp_taps(n_out: int, n_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """1-D taps of a pixel-center-aligned, edge-clamped resize from n_in to n_out.
 
@@ -88,45 +54,6 @@ def lerp_taps(n_out: int, n_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     lo_i = np.clip(lo, 0, n_in - 1).astype(np.int64)
     hi_i = np.clip(lo + 1, 0, n_in - 1).astype(np.int64)
     return lo_i, hi_i, pos - lo
-
-
-def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resize a [..., H, W, C] map with pixel-center alignment and edge clamping.
-
-    Same-size resize is an exact copy; constant maps stay exactly constant.
-    """
-    img = np.asarray(img, dtype=np.float64)
-    *lead, h, w, c = img.shape
-    if out_h < 1 or out_w < 1:
-        raise ValueError(f"bilinear_resize: bad output size {out_h}x{out_w}")
-    y0, y1, ty = lerp_taps(out_h, h)
-    x0, x1, tx = lerp_taps(out_w, w)
-    # Each corner is one gather of whole pixels (C values each); the lerps then
-    # run over [..., out_h, out_w*C] rows with the x weight repeated per
-    # channel, so no inner loop is only C long.
-    pixels = img.reshape(*lead, h * w, c)
-    rows = (*lead, out_h, out_w * c)
-    y0 = y0[:, None] * w
-    y1 = y1[:, None] * w
-    tx = tx.repeat(c)
-    ty = ty[:, None]
-    # Lerp form a + t*(b - a), exact for t == 0 and for constant maps; worked
-    # in place so at most three output-sized buffers are live at once.
-    top = np.take(pixels, (y0 + x0).ravel(), axis=-2).reshape(rows)
-    step = np.take(pixels, (y0 + x1).ravel(), axis=-2).reshape(rows)
-    step -= top
-    step *= tx
-    top += step
-    bot = np.take(pixels, (y1 + x0).ravel(), axis=-2).reshape(rows)
-    step = np.take(pixels, (y1 + x1).ravel(), axis=-2).reshape(rows)
-    step -= bot
-    step *= tx
-    bot += step
-    del step
-    bot -= top
-    bot *= ty
-    top += bot
-    return top.reshape(*lead, out_h, out_w, c)
 
 
 @dataclass(frozen=True)
@@ -216,55 +143,6 @@ def sampling_plan(maps_shape: tuple[int, ...], points: np.ndarray) -> SamplingPl
         shape=(m, maps * h * w),
     )
     return SamplingPlan(matrix, index, taps, valid)
-
-
-def bilinear_sample(img: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Sample [..., H, W, C] maps at normalized (x, y) points, zero-padded.
-
-    points: [..., N, 2], one set per map; returns [..., N, C]. A point exactly
-    on a cell center returns that cell's stored values; contributions from
-    outside the map are zero.
-    """
-    img = np.asarray(img, dtype=np.float64)
-    points = np.asarray(points, dtype=np.float64)
-    return sampling_plan(img.shape, points).sample(img, points.shape)
-
-
-def conv2d(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    bias: np.ndarray | None = None,
-    stride: int = 1,
-    padding: int = 0,
-) -> np.ndarray:
-    """Cross-correlate [..., H, W, Cin] maps with a [kh, kw, Cin, Cout] kernel."""
-    x = np.asarray(x, dtype=np.float64)
-    kh, kw, kcin, cout = kernel.shape
-    if kcin != x.shape[-1]:
-        raise ValueError(f"conv2d: kernel expects {kcin} input channels, map has {x.shape[-1]}")
-    cols, out_h, out_w = im2col(x, kh, kw, stride, padding)
-    out = cols @ kernel.reshape(kh * kw * kcin, cout)  # [..., out_h*out_w, Cout]
-    if bias is not None:
-        out += bias
-    return out.reshape(*x.shape[:-3], out_h, out_w, cout)
-
-
-def depthwise_conv(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Per-channel convolution with same-size output (stride 1, pad k//2).
-
-    x: [..., H, W, C], kernel: [kh, kw, C].
-    """
-    x = np.asarray(x, dtype=np.float64)
-    c = x.shape[-1]
-    kh, kw, kc = kernel.shape
-    if kc != c:
-        raise ValueError(f"depthwise_conv: kernel has {kc} channels, map has {c}")
-    cols, out_h, out_w = im2col(x, kh, kw, 1, kh // 2)
-    cols = cols.reshape(*cols.shape[:-1], kh * kw, c)
-    out = np.einsum("...nkc,kc->...nc", cols, kernel.reshape(kh * kw, c))
-    if bias is not None:
-        out += bias
-    return out.reshape(*x.shape[:-3], out_h, out_w, c)
 
 
 def conv_out_size(n: int, k: int, stride: int, padding: int) -> int:

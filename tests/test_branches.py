@@ -40,9 +40,7 @@ def test_embed_resizes_input_to_branch_resolution():
     assert (state.grid_h, state.grid_w) == (4, 4)
 
     # feeding the pre-resized image directly gives the identical embedding
-    from piip.primitives import bilinear_resize
-
-    small = ad.leaf(bilinear_resize(big.value, 16, 16))
+    small = ad.bilinear_resize_op(big, 16, 16)
     state2 = branch.embed_forward(P, small)
     assert np.array_equal(state.tokens.value, state2.tokens.value)
 

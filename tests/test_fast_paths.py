@@ -1,10 +1,11 @@
 """Fast paths against plain reference forms, bit for bit.
 
 Each reference below is the plain NumPy form of a kernel that the package
-computes a faster way: a per-tensor AdamW loop, a fancy-index resize, a
-sliding-window patchify, ``np.mean`` statistics and the one-line norm and
-GELU gradients. Both sides perform the same floating-point operations in
-the same order, so every comparison is exact.
+computes a faster way: a per-tensor AdamW loop, a fancy-index resize, an
+``np.add.at`` resize matrix, a sliding-window patchify, ``np.mean``
+statistics and the one-line norm and GELU gradients. Both sides perform the
+same floating-point operations in the same order, so every comparison is
+exact.
 """
 
 import numpy as np
@@ -134,7 +135,26 @@ def resize_fancy_index(img, out_h, out_w):
 )
 def test_resize_matches_fancy_index_form(shape, out_h, out_w):
     img = np.random.default_rng(sum(shape)).standard_normal(shape)
-    assert bits_equal(pr.bilinear_resize(img, out_h, out_w), resize_fancy_index(img, out_h, out_w))
+    got = ad.bilinear_resize_op(ad.leaf(img), out_h, out_w).value
+    assert bits_equal(got, resize_fancy_index(img, out_h, out_w))
+
+
+def resize_matrix_add_at(n_out, n_in):
+    """1-D resize weights accumulated tap by tap with ``np.add.at``."""
+    lo, hi, t = pr.lerp_taps(n_out, n_in)
+    m = np.zeros((n_out, n_in))
+    rows = np.arange(n_out)
+    np.add.at(m, (rows, lo), 1.0 - t)
+    np.add.at(m, (rows, hi), t)
+    return m
+
+
+@pytest.mark.parametrize(
+    "n_out, n_in",
+    [(13, 5), (64, 4), (3, 7), (2, 64), (6, 6), (1, 1), (5, 1), (1, 5)],  # up, down, same, 1 px
+)
+def test_resize_matrix_matches_add_at_form(n_out, n_in):
+    assert bits_equal(ad._resize_matrix(n_out, n_in), resize_matrix_add_at(n_out, n_in))
 
 
 def im2col_windows(x, kh, kw, stride, padding):
@@ -167,7 +187,7 @@ def test_patchify_matches_sliding_window_form(shape, k):
     assert bits_equal(cols, want)
     kernel = np.random.default_rng(1).standard_normal((k, k, shape[-1], 4))
     conv = (want @ kernel.reshape(-1, 4)).reshape(*shape[:-3], out_h, out_w, 4)
-    assert bits_equal(pr.conv2d(x, kernel, stride=k), conv)
+    assert bits_equal(ad.conv2d_op(ad.leaf(x), ad.leaf(kernel), None, stride=k).value, conv)
 
 
 @pytest.mark.parametrize(

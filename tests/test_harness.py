@@ -153,6 +153,16 @@ def test_high_freq_fraction_needs_a_grid():
         harness.high_freq_fraction(fmap)
 
 
+def test_high_freq_fraction_rejects_a_stacked_map():
+    images, _ = harness.make_dataset(harness.task_for(TINY), 2, seed=3)
+    fmap = PiipModel(TINY).forward(images).branch_features[2]
+    assert fmap.tokens.shape[0] == 2
+    with pytest.raises(ValueError, match=r"one map's \[N, D\] tokens"):
+        harness.high_freq_fraction(fmap)
+    single = FeatureMap(fmap.tokens[0], fmap.grid_h, fmap.grid_w, fmap.branch_id)
+    assert 0.0 <= harness.high_freq_fraction(single) <= 1.0
+
+
 def test_high_freq_fraction_extremes():
     const = FeatureMap(np.full((64, 2), 3.5), 8, 8, 1)
     assert harness.high_freq_fraction(const) == 0.0
@@ -215,6 +225,13 @@ def test_train_accuracy_matches_argmax():
     images, labels = harness.make_dataset(task, 8, seed=3)
     acc = harness.train_accuracy(model, images, labels)
     assert acc == float(np.mean(labels == 0))
+
+
+@pytest.mark.parametrize("n_images, n_labels", [(0, 0), (8, 1), (8, 4)])
+def test_train_accuracy_rejects_a_bad_batch(n_images, n_labels):
+    images, labels = harness.make_dataset(harness.task_for(TINY), 8, seed=3)
+    with pytest.raises(ValueError, match="non-empty batch and one label per image"):
+        harness.train_accuracy(PiipModel(TINY), images[:n_images], labels[:n_labels])
 
 
 def test_train_accuracy_equals_per_image_loop():

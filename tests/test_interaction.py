@@ -91,15 +91,14 @@ def test_single_point_weights_are_exactly_one():
     attn, P, q, v, qg, vg = deform_setup(points=1)
     out = attn.forward(P, ad.leaf(q), qg, ad.leaf(v), vg)
 
-    from piip.primitives import bilinear_sample
-
     vmap = (v @ P["a.val_w"].value + P["a.val_b"].value).reshape(*vg, 8)
     off = (q @ P["a.off_w"].value + P["a.off_b"].value).reshape(-1, 2, 1, 2)
     ref = reference_points(*qg)
     per_head = []
     for hi in range(2):
         pts = ref + off[:, hi, 0, :] / np.array([vg[1], vg[0]])
-        per_head.append(bilinear_sample(vmap[:, :, hi * 4 : (hi + 1) * 4], pts))
+        head_map = ad.leaf(vmap[:, :, hi * 4 : (hi + 1) * 4])
+        per_head.append(ad.bilinear_sample_op(head_map, ad.leaf(pts)).value)
     want = np.concatenate(per_head, axis=1) @ P["a.out_w"].value + P["a.out_b"].value
     np.testing.assert_allclose(out.value, want, atol=1e-12)
 
@@ -120,10 +119,8 @@ def test_zero_offsets_constant_value_closed_form():
 
 def test_sampling_weights_sum_to_one_per_head():
     attn, P, q, v, qg, vg = deform_setup()
-    from piip.primitives import softmax
-
     wts = (q @ P["a.wt_w"].value + P["a.wt_b"].value).reshape(-1, 2, 4)
-    probs = softmax(wts)
+    probs = ad.softmax_op(ad.leaf(wts)).value
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
 
 

@@ -1,6 +1,9 @@
 """Property tests for the numeric kernels against scalar-loop oracles."""
 
+import re
+
 import numpy as np
+import pytest
 from scipy.special import erf
 
 from piip import autodiff as ad
@@ -61,14 +64,14 @@ def test_softmax_matches_oracle():
     for _ in range(CASES):
         n, d = rand_shape(1, 9)
         x = RNG.standard_normal((n, d)) * RNG.uniform(0.5, 30)
-        got = pr.softmax(x)
+        got = ad.softmax_op(ad.leaf(x)).value
         assert np.abs(got - np.array(ref.softmax_ref(x))).max() <= TOL
         np.testing.assert_allclose(got.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_softmax_extreme_logits_stable():
     x = np.array([[1000.0, 0.0, -1000.0], [-1e8, -1e8, -1e8]])
-    got = pr.softmax(x)
+    got = ad.softmax_op(ad.leaf(x)).value
     assert np.isfinite(got).all()
     np.testing.assert_allclose(got[0], [1.0, 0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(got[1], [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
@@ -87,27 +90,27 @@ def test_bilinear_resize_matches_oracle():
         c = int(RNG.integers(1, 5))
         oh, ow = rand_shape(1, 9)
         x = RNG.standard_normal((h, w, c))
-        got = pr.bilinear_resize(x, oh, ow)
+        got = ad.bilinear_resize_op(ad.leaf(x), oh, ow).value
         assert np.abs(got - np.array(ref.bilinear_resize_ref(x, oh, ow))).max() <= TOL
 
 
 def test_bilinear_resize_same_size_is_bitwise_copy():
     for _ in range(20):
         x = RNG.standard_normal((int(RNG.integers(1, 8)), int(RNG.integers(1, 8)), 3))
-        assert np.array_equal(pr.bilinear_resize(x, x.shape[0], x.shape[1]), x)
+        assert np.array_equal(ad.bilinear_resize_op(ad.leaf(x), x.shape[0], x.shape[1]).value, x)
 
 
 def test_bilinear_resize_constant_map_bitwise():
     value = np.pi
     x = np.full((3, 5, 2), value)
-    out = pr.bilinear_resize(x, 7, 4)
+    out = ad.bilinear_resize_op(ad.leaf(x), 7, 4).value
     assert np.array_equal(out, np.full((7, 4, 2), value))
 
 
 def test_bilinear_resize_ramp_2x():
     # [0, 1] per row upsampled 2x in width: centers fall at t = 1/4 and 3/4
     x = np.array([[[0.0], [1.0]], [[0.0], [1.0]]])
-    out = pr.bilinear_resize(x, 2, 4)
+    out = ad.bilinear_resize_op(ad.leaf(x), 2, 4).value
     np.testing.assert_allclose(out[:, :, 0], [[0.0, 0.25, 0.75, 1.0]] * 2, atol=1e-15)
 
 
@@ -118,7 +121,7 @@ def test_bilinear_sample_matches_oracle():
         n = int(RNG.integers(1, 12))
         x = RNG.standard_normal((h, w, c))
         pts = RNG.uniform(-0.5, 1.5, (n, 2))  # includes out-of-bounds
-        got = pr.bilinear_sample(x, pts)
+        got = ad.bilinear_sample_op(ad.leaf(x), ad.leaf(pts)).value
         assert np.abs(got - np.array(ref.bilinear_sample_ref(x, pts))).max() <= TOL
 
 
@@ -127,13 +130,14 @@ def test_bilinear_sample_grid_centers_exact():
     for h, w in ((4, 8), (8, 8), (2, 16)):
         x = RNG.standard_normal((h, w, 3))
         pts = pr.reference_points(h, w)
-        assert np.array_equal(pr.bilinear_sample(x, pts), x.reshape(h * w, 3))
+        got = ad.bilinear_sample_op(ad.leaf(x), ad.leaf(pts)).value
+        assert np.array_equal(got, x.reshape(h * w, 3))
 
 
 def test_bilinear_sample_far_outside_is_zero():
     x = RNG.standard_normal((4, 4, 2))
     pts = np.array([[-1.0, -1.0], [2.0, 2.0], [-1.0, 0.5]])
-    assert np.array_equal(pr.bilinear_sample(x, pts), np.zeros((3, 2)))
+    assert np.array_equal(ad.bilinear_sample_op(ad.leaf(x), ad.leaf(pts)).value, np.zeros((3, 2)))
 
 
 def test_conv2d_matches_oracle():
@@ -148,7 +152,7 @@ def test_conv2d_matches_oracle():
         x = RNG.standard_normal((h, w, cin))
         k = RNG.standard_normal((kh, kh, cin, cout))
         b = RNG.standard_normal(cout)
-        got = pr.conv2d(x, k, b, stride=stride, padding=pad)
+        got = ad.conv2d_op(ad.leaf(x), ad.leaf(k), ad.leaf(b), stride=stride, padding=pad).value
         want = np.array(ref.conv2d_ref(x, k, b, stride, pad))
         assert np.abs(got - want).max() <= TOL
 
@@ -161,7 +165,7 @@ def test_conv2d_patchify_matches_oracle():
         cin, cout = 3, int(RNG.integers(1, 6))
         x = RNG.standard_normal((gh * p, gw * p, cin))
         k = RNG.standard_normal((p, p, cin, cout))
-        got = pr.conv2d(x, k, None, stride=p, padding=0)
+        got = ad.conv2d_op(ad.leaf(x), ad.leaf(k), None, stride=p, padding=0).value
         want = np.array(ref.conv2d_ref(x, k, None, p, 0))
         assert got.shape == (gh, gw, cout)
         assert np.abs(got - want).max() <= TOL
@@ -175,8 +179,26 @@ def test_depthwise_conv_matches_oracle():
         x = RNG.standard_normal((h, w, c))
         k = RNG.standard_normal((kh, kh, c))
         b = RNG.standard_normal(c)
-        got = pr.depthwise_conv(x, k, b)
+        got = ad.depthwise_conv_op(ad.leaf(x), ad.leaf(k), ad.leaf(b)).value
         assert np.abs(got - np.array(ref.depthwise_conv_ref(x, k, b))).max() <= TOL
+
+
+@pytest.mark.parametrize(
+    "op, message",
+    [
+        (lambda x, k: ad.conv2d_op(x, k((3, 3, 4, 2)), None),
+         "conv2d: kernel expects 4 input channels, map has 3"),
+        (lambda x, k: ad.depthwise_conv_op(x, k((3, 3, 2))),
+         "depthwise_conv: kernel has 2 channels, map has 3"),
+        (lambda x, k: ad.bilinear_resize_op(x, 0, 4), "bilinear_resize: bad output size 0x4"),
+        (lambda x, k: ad.bilinear_resize_op(x, 4, -1), "bilinear_resize: bad output size 4x-1"),
+    ],
+)
+def test_op_input_checks_raise_their_messages(op, message):
+    rng = np.random.default_rng(12)  # leaves the module stream as it was
+    x = ad.leaf(rng.standard_normal((5, 6, 3)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        op(x, lambda shape: ad.leaf(rng.standard_normal(shape)))
 
 
 def test_reference_points_match_oracle():
@@ -191,7 +213,7 @@ def test_single_buffer_kernels_bitwise_equal_one_line_formulas():
     gain, shift = rng.standard_normal(8), rng.standard_normal(8)
     assert np.array_equal(ad.gelu_op(ad.leaf(x)).value, 0.5 * x * (1.0 + erf(x * (1.0 / np.sqrt(2.0)))))
     e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-    assert np.array_equal(pr.softmax(x), e / np.sum(e, axis=-1, keepdims=True))
+    assert np.array_equal(ad.softmax_op(ad.leaf(x)).value, e / np.sum(e, axis=-1, keepdims=True))
     mu = x.mean(axis=-1, keepdims=True)
     var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
     ln = (x - mu) / np.sqrt(var + 1e-6) * gain + shift
