@@ -72,10 +72,7 @@ class PatchEmbed:
             image, P[f"{self.prefix}.kernel"], P[f"{self.prefix}.bias"], stride=self.patch
         )  # [..., gh, gw, D]
         gh, gw = grid.shape[-3:-1]
-        pos = P[f"{self.prefix}.pos"]
-        if pos.shape[:2] != (gh, gw):
-            pos = ad.bilinear_resize_op(pos, gh, gw)
-        grid = ad.add(grid, pos)
+        grid = ad.add(grid, P[f"{self.prefix}.pos"])
         return ad.reshape(grid, grid.shape[:-3] + (gh * gw, self.dim)), gh, gw
 
 

@@ -443,84 +443,55 @@ def load_config(path: str) -> PyramidConfig:
 # ---------------------------------------------------------------------------
 
 
-def _transformer_branch(
-    depth: int,
-    dim: int,
-    heads: int,
-    resolution: int,
-    patch_size: int = 16,
-    attention_mode: AttentionKind = AttentionKind.GLOBAL,
-    window_tokens: int | None = None,
-) -> BranchSpec:
-    return BranchSpec(
-        depth=depth,
-        dim=dim,
-        heads=heads,
-        patch_size=patch_size,
-        resolution=resolution,
-        attention_mode=attention_mode,
-        window_tokens=window_tokens,
-    )
-
-
 def _presets() -> dict[str, PyramidConfig]:
     piip_b = PyramidConfig(
         branches=(
-            _transformer_branch(12, 640, 8, 128),
-            _transformer_branch(12, 320, 4, 256),
-            _transformer_branch(
-                12, 160, 2, 512, attention_mode=AttentionKind.WINDOWED, window_tokens=256
+            BranchSpec(12, 640, 8, 16, 128),
+            BranchSpec(12, 320, 4, 16, 256),
+            BranchSpec(
+                12, 160, 2, 16, 512, attention_mode=AttentionKind.WINDOWED, window_tokens=256
             ),
         ),
         interactions=InteractionSchedule(count=12, directions=default_directions(3)),
-        merge_mode=MergeMode.DENSE,
         merge_proj=ProjStyle.LINEAR,
         classes=1000,
-        seed=0,
     )
     vit_b = PyramidConfig(
-        branches=(_transformer_branch(12, 768, 12, 224),),
+        branches=(BranchSpec(12, 768, 12, 16, 224),),
         interactions=InteractionSchedule(),
         merge_mode=MergeMode.CLASSIFICATION,
         merge_proj=ProjStyle.LINEAR,
         classes=1000,
-        seed=0,
     )
     tsb_toy = PyramidConfig(
         branches=(
-            _transformer_branch(4, 48, 4, 64),
-            _transformer_branch(4, 24, 2, 128),
-            _transformer_branch(4, 12, 1, 160),
+            BranchSpec(4, 48, 4, 16, 64),
+            BranchSpec(4, 24, 2, 16, 128),
+            BranchSpec(4, 12, 1, 16, 160),
         ),
         interactions=InteractionSchedule(count=4, directions=default_directions(3)),
         merge_mode=MergeMode.CLASSIFICATION,
         merge_proj=ProjStyle.LINEAR,
-        classes=10,
-        seed=0,
     )
     sbl_toy = PyramidConfig(
         branches=(
-            _transformer_branch(4, 64, 4, 64),
-            _transformer_branch(4, 48, 3, 128),
-            _transformer_branch(4, 24, 2, 192),
+            BranchSpec(4, 64, 4, 16, 64),
+            BranchSpec(4, 48, 3, 16, 128),
+            BranchSpec(4, 24, 2, 16, 192),
         ),
         interactions=InteractionSchedule(count=4, directions=default_directions(3)),
         merge_mode=MergeMode.CLASSIFICATION,
         merge_proj=ProjStyle.LINEAR,
-        classes=10,
-        seed=0,
     )
     tiny = PyramidConfig(
         branches=(
-            _transformer_branch(2, 32, 4, 16),
-            _transformer_branch(2, 16, 2, 32),
-            _transformer_branch(2, 8, 1, 64),
+            BranchSpec(2, 32, 4, 16, 16),
+            BranchSpec(2, 16, 2, 16, 32),
+            BranchSpec(2, 8, 1, 16, 64),
         ),
         interactions=InteractionSchedule(count=2, directions=default_directions(3)),
         merge_mode=MergeMode.CLASSIFICATION,
         merge_proj=ProjStyle.LINEAR,
-        classes=10,
-        seed=0,
     )
     return {
         "piip-b": piip_b,

@@ -7,11 +7,14 @@ Conventions (documented in the README):
   * FLOPs are one forward pass at the configured branch resolutions.
   * Normalizations, softmax, activations, gates, padding, pooling and the
     positional-embedding add are excluded (each is sub-percent).
-  * Windowed attention prices its quadratic term on the zero-padded token
-    count (identical to the true count whenever the window tiles the grid).
+  * Windowed attention prices its qkv projection and its quadratic term on
+    the zero-padded token count, as the model runs them (identical to the
+    true count whenever the window tiles the grid); the output projection
+    and the MLP run on the true tokens.
 
 Parameter totals agree *exactly* with the instantiated registry for every
-config; the test-suite pins this for all presets.
+config; the test-suite pins this for all presets and for off-preset variants
+with padded windows, regular attention, dense merges and a convnet branch.
 """
 
 from __future__ import annotations
@@ -113,14 +116,12 @@ def _branch_flops(b: BranchSpec) -> int:
     patchify = n * d * 3 * b.patch_size * b.patch_size
     if b.arch is Arch.TRANSFORMER:
         h = ffn_hidden(d, b.mlp_ratio)
+        padded, t = n, n  # tokens through qkv, tokens one attention spans
         if b.attention_mode is AttentionKind.WINDOWED:
             side = window_side(b.window_tokens)
-            n_windows = -(-g // side) * (-(-g // side))
             t = side * side
-            quad = 2 * (n_windows * t) * t * d
-        else:
-            quad = 2 * n * n * d
-        block = 4 * n * d * d + quad + 2 * n * d * h
+            padded = -(-g // side) * (-(-g // side)) * t
+        block = 3 * padded * d * d + 2 * padded * t * d + n * d * d + 2 * n * d * h
     else:
         block = n * 49 * d + 8 * n * d * d
     return patchify + b.depth * block
@@ -160,7 +161,7 @@ def _direction_cost(
 
 def _interaction_cost(cfg: PyramidConfig) -> tuple[int, int]:
     sched = cfg.interactions
-    if sched.count == 0 or not sched.directions:
+    if sched.count == 0:  # directions of a config without points need not be priceable
         return 0, 0
     params = 0
     flops = 0

@@ -30,7 +30,7 @@ from .branches import FeatureMap
 from .config import PRESET_NAMES, PyramidConfig, parse_config, preset, render_config
 from .costmodel import cost_report
 from .interaction import DeformableCrossAttention
-from .model import AdamW, PiipModel
+from .model import AdamW, PiipModel, classification_labels
 from .primitives import reference_points
 
 
@@ -165,6 +165,9 @@ def deform_oracle_gap(
 # ---------------------------------------------------------------------------
 
 
+FD_STEP = 1e-5  # central-difference step
+
+
 @dataclass
 class FdRecord:
     name: str
@@ -180,31 +183,29 @@ def fd_gradient_check(
     params: dict[str, np.ndarray],
     analytic: dict[str, np.ndarray],
     coords: list[tuple[str, int]],
-    step: float = 1e-5,
-    floor: float = 1e-8,
 ) -> list[FdRecord]:
     """Central-difference check of ``analytic`` at the given flat coordinates.
 
     ``value_fn`` re-evaluates the scalar objective from the (temporarily
     perturbed) ``params`` dict. Central differences in double precision
-    resolve a gradient only down to roughly eps*|f|/step (~1e-11 here), so
+    resolve a gradient only down to roughly eps*|f|/FD_STEP (~1e-11 here), so
     an absolute floor applies first: coordinates where analytic and numeric
-    agree within ``floor`` count as exact and report rel_err 0; everything
+    agree within 1e-8 count as exact and report rel_err 0; everything
     larger is scored relative to the bigger of the two magnitudes.
     """
     records = []
     for name, index in coords:
         flat = params[name].reshape(-1)
         orig = flat[index]
-        flat[index] = orig + step
+        flat[index] = orig + FD_STEP
         f_plus = value_fn()
-        flat[index] = orig - step
+        flat[index] = orig - FD_STEP
         f_minus = value_fn()
         flat[index] = orig
-        numeric = (f_plus - f_minus) / (2.0 * step)
+        numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
         a = float(analytic[name].reshape(-1)[index])
         diff = abs(a - numeric)
-        below = diff <= floor
+        below = diff <= 1e-8
         rel = 0.0 if below else diff / max(abs(a), abs(numeric))
         records.append(FdRecord(name, index, a, numeric, rel, below))
     return records
@@ -231,19 +232,16 @@ PARAM_FAMILIES: dict[str, str] = {
 
 
 def sample_family_coords(
-    params: dict[str, np.ndarray],
-    rng: np.random.Generator,
-    total: int,
-    per_family: int = 3,
+    params: dict[str, np.ndarray], rng: np.random.Generator, total: int
 ) -> list[tuple[str, int]]:
-    """Coordinates spread over every parameter family present in the model."""
+    """Coordinates spread over every parameter family present in the model, 3 per family."""
     coords: list[tuple[str, int]] = []
     names = list(params)
     for pattern in PARAM_FAMILIES.values():
         matching = [n for n in names if pattern in n]
         if not matching:
             continue
-        for _ in range(per_family):
+        for _ in range(3):
             name = matching[int(rng.integers(len(matching)))]
             coords.append((name, int(rng.integers(params[name].size))))
     while len(coords) < total:
@@ -273,7 +271,6 @@ def model_gradient_check(
     loss_fn,
     rng: np.random.Generator,
     total: int = 200,
-    step: float = 1e-5,
 ) -> list[FdRecord]:
     """FD-check ``total`` coordinates of a model, covering every family."""
     _, analytic = model.parameter_gradients(image, loss_fn)
@@ -283,7 +280,7 @@ def model_gradient_check(
         graph = model.graph_forward(image, model._wrap(needs_grad=False))
         return float(loss_fn(graph).value)
 
-    return fd_gradient_check(value_fn, model.params, analytic, coords, step=step)
+    return fd_gradient_check(value_fn, model.params, analytic, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +294,6 @@ class SyntheticTask:
     glyph_size: int
     classes: int = 10
     seed: int = 0
-    background_level: float = 0.15
 
 
 def task_for(cfg: PyramidConfig) -> SyntheticTask:
@@ -347,7 +343,7 @@ def make_dataset(
     images = np.empty((n, c, c, 3))
     labels = rng.integers(0, task.classes, size=n)
     for i in range(n):
-        base = rng.random((4, 4, 3)) * task.background_level
+        base = rng.random((4, 4, 3)) * 0.15  # background level, well below the glyph's 1.0
         img = ad.bilinear_resize_op(ad.leaf(base), c, c).value  # smooth low-frequency field
         y0 = int(rng.integers(0, c - g + 1))
         x0 = int(rng.integers(0, c - g + 1))
@@ -380,6 +376,7 @@ def train_toy(
         raise ValueError(f"batch_size must lie in [1, n_samples={n_samples}], got {batch_size}")
     if not 0 <= lr < math.inf:
         raise ValueError(f"lr must be finite and non-negative, got {lr}")
+    classification_labels(cfg, "train_toy")
     model = PiipModel(cfg)
     task = task_for(cfg)
     images, labels = make_dataset(task, n_samples)
@@ -407,14 +404,7 @@ def train_accuracy(model: PiipModel, images: np.ndarray, labels: np.ndarray) -> 
 
     Runs no-grad forwards over stacks of ``ACCURACY_BATCH`` images.
     """
-    if model.head is None:
-        raise ValueError("train_accuracy needs a classification-mode model")
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(images) == 0 or labels.shape != (len(images),):
-        raise ValueError(
-            f"train_accuracy needs a non-empty batch and one label per image, got "
-            f"{len(images)} images and labels of shape {labels.shape}"
-        )
+    labels = classification_labels(model.config, "train_accuracy", len(images), labels)
     correct = 0
     for start in range(0, len(images), ACCURACY_BATCH):
         stop = start + ACCURACY_BATCH
@@ -428,8 +418,8 @@ def train_accuracy(model: PiipModel, images: np.ndarray, labels: np.ndarray) -> 
 # ---------------------------------------------------------------------------
 
 
-def high_freq_fraction(fmap: FeatureMap, cutoff: float = 0.25) -> float:
-    """Share of spectral energy above ``cutoff`` cycles/sample (half-Nyquist)."""
+def high_freq_fraction(fmap: FeatureMap) -> float:
+    """Share of spectral energy above 0.25 cycles/sample (half-Nyquist)."""
     if len(fmap.tokens.shape) != 2:
         raise ValueError(
             f"high_freq_fraction takes one map's [N, D] tokens, got shape {fmap.tokens.shape}"
@@ -444,7 +434,7 @@ def high_freq_fraction(fmap: FeatureMap, cutoff: float = 0.25) -> float:
     total = power.sum()
     if total == 0.0:
         return 0.0
-    return float(power[radius > cutoff].sum() / total)
+    return float(power[radius > 0.25].sum() / total)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,9 @@ from .config import ProjStyle, PyramidConfig
 from .params import ParamSpec
 
 
-def group_count(channels: int, preferred: int = 32) -> int:
-    """Largest divisor of ``channels`` that does not exceed ``preferred``."""
-    for g in range(min(preferred, channels), 0, -1):
-        if channels % g == 0:
-            return g
-    return 1
+def group_count(channels: int) -> int:
+    """Largest divisor of ``channels`` that does not exceed 32."""
+    return max(g for g in range(1, min(32, channels) + 1) if channels % g == 0)
 
 
 class MergeModule:

@@ -45,6 +45,27 @@ class Forward:
     logits: Var | np.ndarray | None
 
 
+def classification_labels(cfg: PyramidConfig, caller: str, n_images: int = 0, labels=None):
+    """The batch rule of training and scoring; returns ``labels`` as int64.
+
+    ``cfg`` must be in classification mode (all that is checked without
+    ``labels``), and a batch of ``n_images`` >= 1 needs one label per image.
+    """
+    if cfg.merge_mode is not MergeMode.CLASSIFICATION:
+        raise ValueError(
+            f"{caller} needs a classification-mode config, got mode = {cfg.merge_mode.value}"
+        )
+    if labels is None:
+        return None
+    labels = np.asarray(labels, dtype=np.int64)
+    if n_images == 0 or labels.shape != (n_images,):
+        raise ValueError(
+            f"{caller} needs a non-empty batch and one label per image, got "
+            f"{n_images} images and labels of shape {labels.shape}"
+        )
+    return labels
+
+
 class PiipModel:
     def __init__(self, cfg: PyramidConfig, materialize: bool = True) -> None:
         validate(cfg)
@@ -154,12 +175,17 @@ class PiipModel:
         """Exact gradients of ``loss_fn(graph)`` w.r.t. every parameter.
 
         ``loss_fn`` maps ``graph_forward``'s :class:`Forward` to a scalar
-        ``Var`` built from :mod:`piip.autodiff` ops.
+        ``Var`` built from :mod:`piip.autodiff` ops. A parameter the loss does
+        not reach gets a zero gradient.
         """
         P = self._wrap(needs_grad=True)
         loss = loss_fn(self.graph_forward(image, P))
         ad.backward(loss)
-        return float(loss.value), _leaf_grads(P)
+        grads = {
+            name: (var.grad if var.grad is not None else np.zeros_like(var.value))
+            for name, var in P.items()
+        }
+        return float(loss.value), grads
 
     def train_step(
         self,
@@ -169,26 +195,20 @@ class PiipModel:
     ) -> tuple[float, float]:
         """One optimizer update on a batch; returns (mean loss, accuracy).
 
-        The whole batch runs as one graph: one forward over the [B, R, R, 3]
-        stack, one mean cross-entropy and one backward.
+        One ``parameter_gradients`` graph over the [B, R, R, 3] stack with the
+        mean cross-entropy, then one ``optimizer.step`` (also at lr 0).
         """
-        if self.head is None:
-            raise RuntimeError("train_step needs a classification-mode model")
-        labels = np.asarray(labels, dtype=np.int64)
-        if len(images) == 0 or labels.shape != (len(images),):
-            raise ValueError(
-                f"train_step needs a non-empty batch and one label per image, got "
-                f"{len(images)} images and labels of shape {labels.shape}"
-            )
-        P = self._wrap(needs_grad=True)
-        logits = self.graph_forward(images, P).logits
-        assert logits is not None
-        loss = ad.cross_entropy_op(logits, labels)
-        ad.backward(loss)
-        if optimizer.lr != 0.0:
-            optimizer.step(self.params, _leaf_grads(P))
-        accuracy = float(np.mean(np.argmax(logits.value, axis=-1) == labels))
-        return float(loss.value), accuracy
+        labels = classification_labels(self.config, "train_step", len(images), labels)
+        logits: list[np.ndarray] = []
+
+        def loss_fn(graph: Forward) -> Var:
+            logits.append(graph.logits.value)
+            return ad.cross_entropy_op(graph.logits, labels)
+
+        loss, grads = self.parameter_gradients(images, loss_fn)
+        optimizer.step(self.params, grads)
+        accuracy = float(np.mean(np.argmax(logits[0], axis=-1) == labels))
+        return loss, accuracy
 
     # -- serialization -----------------------------------------------------
 
@@ -218,14 +238,6 @@ class PiipModel:
         self.params = loaded
 
 
-def _leaf_grads(P: Params) -> dict[str, np.ndarray]:
-    """Each parameter's gradient after a backward, zeros where none reached it."""
-    return {
-        name: (var.grad if var.grad is not None else np.zeros_like(var.value))
-        for name, var in P.items()
-    }
-
-
 class AdamW:
     """Adaptive-moment optimizer with decoupled weight decay.
 
@@ -240,17 +252,14 @@ class AdamW:
     same order as a per-tensor loop, so the result is bitwise that loop's.
     """
 
+    beta1 = 0.9  # moment decay rates
+    beta2 = 0.999
+    eps = 1e-8
+
     def __init__(
-        self,
-        params: dict[str, np.ndarray],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.05,
+        self, params: dict[str, np.ndarray], lr: float = 1e-3, weight_decay: float = 0.05
     ) -> None:
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.decayed = {

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+import variants
 
 from piip import explorer, harness
 from piip.cli import main
@@ -146,6 +147,24 @@ def test_train_toy_bad_argument_exits_1(tmp_path, capsys, flag, value):
     ])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {flag[2:]}")
+    assert not out.exists()
+
+
+def test_train_toy_rejects_a_dense_config_before_building_a_model(tmp_path, capsys, monkeypatch):
+    # a dense config used to build the model, then end in a RuntimeError traceback
+    config = tmp_path / "dense.ini"
+    config.write_text(render_config(variants.DENSE_LINEAR))
+    out = tmp_path / "metrics.csv"
+
+    def no_model(cfg):
+        raise AssertionError("train_toy built a model")
+
+    monkeypatch.setattr(harness, "PiipModel", no_model)
+    rc = main(["train-toy", str(config), "--out", str(out), "--steps", "2"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: train_toy needs a classification-mode config, got mode = dense\n"
+    )
     assert not out.exists()
 
 

@@ -416,3 +416,66 @@ def test_documented_default(section, key, default):
     else:
         stated = set_key(DOC_EXAMPLE, section, key, re.fullmatch(r"`([^`]+)`", default)[1])
         assert cf.parse_config(omitted) == cf.parse_config(stated)
+
+
+TINY = cf.preset("piip-tiny-test")
+
+
+def with_branch(index: int, **changes) -> cf.PyramidConfig:
+    """``piip-tiny-test`` with fields of branch ``index`` (1-based) changed."""
+    branches = list(TINY.branches)
+    branches[index - 1] = replace(branches[index - 1], **changes)
+    return replace(TINY, branches=tuple(branches))
+
+
+def with_schedule(**changes) -> cf.PyramidConfig:
+    return replace(TINY, interactions=replace(TINY.interactions, **changes))
+
+
+@pytest.mark.parametrize(
+    "check, error, message",
+    [
+        (lambda: cf.validate(replace(TINY, branches=())), cf.ValidationError,
+         "config needs at least one branch"),
+        (lambda: cf.validate(replace(TINY, branches=tuple(replace(b, depth=0) for b in
+                                                          TINY.branches))),
+         cf.ValidationError, "branch 1: depth must be >= 1, got 0"),
+        (lambda: cf.validate(with_branch(2, depth=3)), cf.ValidationError,
+         "branch 2: all branches must share one depth (3 != 2)"),
+        (lambda: cf.validate(with_branch(1, patch_size=0)), cf.ValidationError,
+         "branch 1: patch_size must be >= 1, got 0"),
+        (lambda: cf.validate(with_branch(1, resolution=0)), cf.ValidationError,
+         "branch 1: resolution 0 smaller than one patch (16)"),
+        (lambda: cf.validate(with_branch(3, attention_mode=cf.AttentionKind.WINDOWED)),
+         cf.ValidationError, "branch 3: windowed attention needs window_tokens"),
+        (lambda: cf.validate(with_branch(3, window_tokens=4)), cf.ValidationError,
+         "branch 3: window_tokens set but attention is global"),
+        (lambda: cf.validate(with_branch(3, arch=cf.Arch.CONVNET, window_tokens=4)),
+         cf.ValidationError, "branch 3: convnet branches take no attention options"),
+        (lambda: cf.validate(with_schedule(deform_points=0)), cf.ValidationError,
+         "interactions: deform_points must be >= 1"),
+        (lambda: cf.validate(with_schedule(deform_ratio=1.5)), cf.ValidationError,
+         "interactions: deform_ratio must be in (0, 1]"),
+        (lambda: cf.validate(with_schedule(directions=((1, 4),))), cf.ValidationError,
+         "interactions: direction 1->4 out of range"),
+        (lambda: cf.validate(with_schedule(directions=((2, 2),))), cf.ValidationError,
+         "interactions: direction 2->2 links a branch to itself"),
+        (lambda: cf.validate(with_schedule(directions=((1, 2), (1, 2)))), cf.ValidationError,
+         "interactions: duplicate direction"),
+        (lambda: cf.validate(replace(TINY, classes=1)), cf.ValidationError,
+         "merge: classes must be >= 2, got 1"),
+        (lambda: cf.validate(replace(TINY, seed=-1)), cf.ValidationError,
+         "seed must be non-negative, got -1"),
+        (lambda: cf.parse_config(MINIMAL.replace("[branch.2]", "[branch.x]")), cf.ParseError,
+         "bad branch section name [branch.x]"),
+    ],
+    ids=[
+        "no-branches", "depth-0", "unequal-depths", "patch-0", "resolution-below-patch",
+        "windowed-without-tokens", "tokens-with-global", "convnet-attention", "deform-points-0",
+        "deform-ratio-above-1", "direction-out-of-range", "direction-to-itself",
+        "duplicate-direction", "one-class", "negative-seed", "branch-section-name",
+    ],
+)
+def test_config_checks_raise_their_messages(check, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        check()

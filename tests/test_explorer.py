@@ -341,3 +341,19 @@ def test_resolve_base_prefers_presets(tmp_path):
     path = tmp_path / "variant.ini"
     path.write_text(render_config(preset("piip-tsb-toy")))
     assert explorer.resolve_base(str(path)) == preset("piip-tsb-toy")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[sweep]\nbase = piip-tiny-test\nresolutions.1 = 1:2\n",
+         "sweep: resolutions.1: range must be start:stop:step, got '1:2'"),
+        ("[sweep]\nbase = piip-tiny-test\nresolutions.1 = a:b:c\n",
+         "sweep: resolutions.1: range must be integer start:stop:step, got 'a:b:c'"),
+        ("base = piip-tiny-test\n", "bad sweep spec: File contains no section headers."),
+    ],
+    ids=["two-part-range", "non-integer-range", "no-section-header"],
+)
+def test_sweep_spec_checks_raise_their_messages(text, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        explorer.parse_sweep_spec(text)

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import variants
 
 from piip import autodiff as ad
-from piip import merging
+from piip import harness, merging
 from piip.config import PRESET_NAMES, preset
 from piip.costmodel import cost_report
 from piip.model import AdamW, PiipModel
@@ -25,9 +26,20 @@ def tiny_image(rng=RNG):
     return rng.random((r, r, 3))
 
 
-@pytest.mark.parametrize("name", PRESET_NAMES)
+# the variants reach the cost model's lines for padded windows, regular
+# attention, dense merges and convnet branches, which no preset does
+REGISTRY_CONFIGS = {name: preset(name) for name in PRESET_NAMES} | {
+    "padded-window": variants.PADDED_WINDOW,
+    "regular-attention": variants.REGULAR_ATTENTION,
+    "dense-linear": variants.DENSE_LINEAR,
+    "dense-conv3x3": variants.DENSE_CONV3X3,
+    "convnet-branch": variants.CONVNET_BRANCH,
+}
+
+
+@pytest.mark.parametrize("name", REGISTRY_CONFIGS)
 def test_registry_matches_cost_model(name):
-    cfg = preset(name)
+    cfg = REGISTRY_CONFIGS[name]
     model = PiipModel(cfg, materialize=False)
     assert model.param_count() == cost_report(cfg).total_params
 
@@ -82,6 +94,12 @@ def test_input_shape_validation():
         model.forward(np.zeros((64, 64)))
     with pytest.raises(ValueError, match="or a stack of them"):
         model.forward(np.zeros((1, 2, 64, 64, 3)))
+
+
+def test_forward_without_materialized_parameters_raises():
+    model = PiipModel(TINY, materialize=False)
+    with pytest.raises(RuntimeError, match="model was built without materialized parameters"):
+        model.forward(tiny_image(np.random.default_rng(0)))
 
 
 def test_non_finite_image_raises_instead_of_propagating():
@@ -180,6 +198,18 @@ def test_train_step_rejects_empty_or_mislabelled_batch(n_images, labels):
         model.train_step(images, np.array(labels, dtype=np.int64), AdamW(model.params))
     for name, v in model.params.items():
         assert np.array_equal(v, snapshot[name])
+
+
+def test_dense_model_is_rejected_by_train_step_and_train_accuracy():
+    # train_step used to raise RuntimeError here, train_accuracy ValueError
+    model = PiipModel(variants.DENSE_LINEAR)
+    images, labels = np.random.default_rng(3).random((2, 64, 64, 3)), np.array([0, 1])
+    for caller, call in (
+        ("train_step", lambda: model.train_step(images, labels, AdamW(model.params))),
+        ("train_accuracy", lambda: harness.train_accuracy(model, images, labels)),
+    ):
+        with pytest.raises(ValueError, match=f"^{caller} needs a classification-mode config"):
+            call()
 
 
 def test_train_step_learns_a_fixed_batch():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from piip.params import trunc_normal
+from piip.params import ParamSpec, trunc_normal
 
 
 def trunc_normal_rescan(rng, shape, std=0.02):
@@ -27,3 +27,10 @@ def test_trunc_normal_bitwise_equals_rescan(seed):
         assert np.abs(got).max() <= 2.0 * std
     # both consumed the same draws, so later tensors stay equal too
     assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_declaring_a_name_twice_raises():
+    spec = ParamSpec()
+    spec.declare("branch1.embed.bias", (4,), "zeros")
+    with pytest.raises(ValueError, match="parameter 'branch1.embed.bias' declared twice"):
+        spec.declare("branch1.embed.bias", (4,), "zeros")

@@ -192,6 +192,14 @@ def test_depthwise_conv_matches_oracle():
          "depthwise_conv: kernel has 2 channels, map has 3"),
         (lambda x, k: ad.bilinear_resize_op(x, 0, 4), "bilinear_resize: bad output size 0x4"),
         (lambda x, k: ad.bilinear_resize_op(x, 4, -1), "bilinear_resize: bad output size 4x-1"),
+        (lambda x, k: ad.bilinear_sample_op(x, k((2, 4, 2))),
+         "bilinear_sample: points must be [..., N, 2] with the maps' leading axes, "
+         "got maps (5, 6, 3) and points (2, 4, 2)"),
+        (lambda x, k: ad.conv2d_op(x, k((7, 7, 3, 2)), None),
+         "im2col: kernel 7x7 larger than padded map 5x6"),
+        (lambda x, k: pr.reference_points(0, 3), "reference_points: bad grid 0x3"),
+        (lambda x, k: ad.matmul(x, k((4, 3, 2))),
+         "matmul: batch dims differ (5, 6, 3) @ (4, 3, 2)"),
     ],
 )
 def test_op_input_checks_raise_their_messages(op, message):

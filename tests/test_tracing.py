@@ -7,13 +7,12 @@ one, or calls it some other way, would make the benchmark's traced runs fail
 """
 
 import importlib
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from variants import DENSE_CONV3X3, DENSE_LINEAR, PADDED_WINDOW, REGULAR_ATTENTION, TINY
 
 from piip import harness
-from piip.config import MergeMode, preset
 from piip.model import AdamW, PiipModel
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -28,16 +27,17 @@ def bench(monkeypatch):
 
 def test_traced_macs_match_cost_model(bench):
     tracing, run = bench
-    tiny = preset("piip-tiny-test")
-    dense = replace(tiny, merge_mode=MergeMode.DENSE)
-    model, dense_model = PiipModel(tiny), PiipModel(dense)
-    images, labels = harness.make_dataset(harness.task_for(tiny), 4)
+    model = PiipModel(TINY)
+    images, labels = harness.make_dataset(harness.task_for(TINY), 4)
+    forwards = (DENSE_LINEAR, PADDED_WINDOW, REGULAR_ATTENTION, DENSE_CONV3X3)
     with tracing.Tracer().installed() as tracer:
         model.train_step(images, labels, AdamW(model.params))
-        rows = run.mac_check(tracer, tiny, len(images))
-        tracer.reset()
-        dense_model.forward(images[:2])
-        rows += run.mac_check(tracer, dense, 2)
-    assert {c for c, _, _ in rows} >= {"branch1", "branch3", "interactions", "merging"}
-    for component, counted, analytic in rows:
-        assert counted == analytic > 0, component
+        rows = [(TINY, run.mac_check(tracer, TINY, len(images)))]
+        for cfg in forwards:
+            tracer.reset()
+            PiipModel(cfg).forward(images[:2])
+            rows.append((cfg, run.mac_check(tracer, cfg, 2)))
+    for cfg, checked in rows:
+        assert {c for c, _, _ in checked} >= {"branch1", "branch3", "interactions", "merging"}
+        for component, counted, analytic in checked:
+            assert counted == analytic > 0, (cfg, component)
