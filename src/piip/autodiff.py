@@ -2,14 +2,20 @@
 
 A tiny tape: each ``Var`` records its parents and a vector-Jacobian-product
 closure. Each kernel has one entry point, its op here, which computes the
-forward value and holds the vjp; the helpers the ops share live in
-:mod:`piip.primitives`. A plain-array forward is ``op(leaf(x), ...).value``.
-Forwards are checked against the scalar oracles of the test-suite, and the
-hand-written backward passes end-to-end by finite differences.
+forward value and holds the vjp; a layout that a forward shares with its
+adjoint (norm statistics, patch rows, resize taps, the sampling plan) is a
+private helper beside that op. A plain-array forward is
+``op(leaf(x), ...).value``. Forwards are checked against the scalar oracles
+of the test-suite, and the hand-written backward passes end-to-end by finite
+differences.
 
-Every op takes any number of leading axes: tokens are ``[..., N, D]``, maps
-``[..., H, W, C]`` and sampling points ``[..., N, 2]``. A single image is the
-case with no leading axes and a batch adds one, so both run the same code.
+Every op takes any number of leading axes: tokens are ``[..., N, D]`` in
+row-major grid order, maps ``[..., H, W, C]`` and sampling points
+``[..., N, 2]``. A single image is the case with no leading axes and a batch
+adds one, so both run the same code. Sampling points are normalized
+``(x, y)`` with pixel centers at ``((j + 0.5) / W, (i + 0.5) / H)``
+(align-corners false). A resize clamps at the border, so constant maps stay
+constant; sampling zero-pads, so a corner outside the map contributes nothing.
 
 All values are float64. Gradients only flow into subgraphs that contain a
 leaf created with ``needs_grad=True``; everything else is treated as a
@@ -20,12 +26,13 @@ a vjp computes gradients only for the parents that need one.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import sparse
 from scipy.special import erf
-
-from . import primitives as prim
 
 Array = np.ndarray
 
@@ -315,6 +322,21 @@ def gelu_op(a: Var) -> Var:
     return Var(out, (a,), vjp)
 
 
+def _standardize(x: Array, axes: tuple[int, ...], eps: float) -> tuple[Array, Array, Array]:
+    """``(x - mu) / s`` over ``axes`` with biased variance, in one new buffer.
+
+    Returns (xhat, mu, s), the statistics kept with their reduced axes.
+    """
+    n = math.prod(x.shape[ax] for ax in axes)
+    # add.reduce(...) / n is exactly np.mean, without its Python wrapper
+    mu = np.add.reduce(x, axis=axes, keepdims=True) / n
+    out = x - mu
+    var = np.add.reduce(out * out, axis=axes, keepdims=True) / n
+    s = np.sqrt(var + eps)
+    out /= s
+    return out, mu, s
+
+
 def _norm_vjp(
     g: Array, xhat: Array, s: Array, gain: Array, n: int, red: tuple[int, ...]
 ) -> Array:
@@ -336,7 +358,7 @@ def _norm_vjp(
 
 
 def layer_norm_op(x: Var, gain: Var, shift: Var, eps: float = 1e-6) -> Var:
-    xhat, _, s = prim.standardize(x.value, (-1,), eps)
+    xhat, _, s = _standardize(x.value, (-1,), eps)
     # the vjp reuses xhat; a node that keeps no vjp finishes in its buffer
     keep = x.needs_grad or gain.needs_grad or shift.needs_grad
     out = xhat * gain.value if keep else np.multiply(xhat, gain.value, out=xhat)
@@ -349,13 +371,17 @@ def layer_norm_op(x: Var, gain: Var, shift: Var, eps: float = 1e-6) -> Var:
     return Var(out, (x, gain, shift), vjp)
 
 
+# GroupNorm statistics axes of a [..., H, W, groups, C/groups] view
+_GROUP_AXES = (-4, -3, -1)
+
+
 def group_norm_op(x: Var, groups: int, gain: Var, shift: Var, eps: float = 1e-6) -> Var:
     """GroupNorm of [..., H, W, C] maps (statistics per map and group over H, W, C/G)."""
     xv = x.value
     h, w, c = xv.shape[-3:]
     gshape = xv.shape[:-1] + (groups, c // groups)
-    red = prim.GROUP_AXES
-    out, mu, s = prim.standardize(xv.reshape(gshape), red, eps)
+    red = _GROUP_AXES
+    out, mu, s = _standardize(xv.reshape(gshape), red, eps)
     out = out.reshape(xv.shape)
     out *= gain.value
     out += shift.value
@@ -396,13 +422,37 @@ def cross_entropy_op(logits: Var, labels: int | Array) -> Var:
 # ---------------------------------------------------------------------------
 
 
+def _conv_out_size(n: int, k: int, stride: int, padding: int) -> int:
+    return (n + 2 * padding - k) // stride + 1
+
+
+def _im2col(x: Array, kh: int, kw: int, stride: int, padding: int) -> tuple[Array, int, int]:
+    """Unfold [..., H, W, C] maps into patch rows [..., out_h*out_w, kh*kw*C]."""
+    *lead, h, w, c = x.shape
+    out_h = _conv_out_size(h, kh, stride, padding)
+    out_w = _conv_out_size(w, kw, stride, padding)
+    if out_h < 1 or out_w < 1:
+        raise ValueError(f"im2col: kernel {kh}x{kw} larger than padded map {h}x{w}")
+    if stride == kh == kw and not padding:
+        # non-overlapping patches: crop to whole patches, then
+        # [..., out_h, kh, out_w, kw, C] -> [..., out_h, out_w, kh, kw, C]
+        x = x[..., : out_h * kh, : out_w * kw, :]
+        win = x.reshape(*lead, out_h, kh, out_w, kw, c).swapaxes(-4, -3)
+    else:
+        if padding:
+            x = np.pad(x, [(0, 0)] * len(lead) + [(padding, padding)] * 2 + [(0, 0)])
+        win = sliding_window_view(x, (kh, kw), axis=(-3, -2))  # [..., H', W', C, kh, kw]
+        win = np.moveaxis(win[..., ::stride, ::stride, :, :, :], -3, -1)
+    return win.reshape(*lead, out_h * out_w, kh * kw * c), out_h, out_w
+
+
 def _col2im(
     dcols: Array, shape: tuple[int, ...], kh: int, kw: int, stride: int, padding: int
 ) -> Array:
-    """Adjoint of :func:`primitives.im2col`: sum [..., n, kh*kw*C] patch rows into maps."""
+    """Adjoint of :func:`_im2col`: sum [..., n, kh*kw*C] patch rows into maps."""
     *lead, h, w, c = shape
-    out_h = prim.conv_out_size(h, kh, stride, padding)
-    out_w = prim.conv_out_size(w, kw, stride, padding)
+    out_h = _conv_out_size(h, kh, stride, padding)
+    out_w = _conv_out_size(w, kw, stride, padding)
     dcols = dcols.reshape(*lead, out_h, out_w, kh, kw, c)
     dpad = np.zeros((*lead, h + 2 * padding, w + 2 * padding, c))
     span_h = stride * (out_h - 1) + 1
@@ -420,7 +470,7 @@ def conv2d_op(
     kh, kw, cin, cout = kernel.shape
     if cin != x.shape[-1]:
         raise ValueError(f"conv2d: kernel expects {cin} input channels, map has {x.shape[-1]}")
-    cols, out_h, out_w = prim.im2col(x.value, kh, kw, stride, padding)
+    cols, out_h, out_w = _im2col(x.value, kh, kw, stride, padding)
     out = cols @ kernel.value.reshape(kh * kw * cin, cout)  # [..., out_h*out_w, Cout]
     if bias is not None:
         out += bias.value
@@ -430,7 +480,7 @@ def conv2d_op(
         gf = g.reshape(-1, cout)
         dx = dkernel = db = None
         if kernel.needs_grad:  # im2col is recomputed rather than kept on the tape
-            cols = prim.im2col(x.value, kh, kw, stride, padding)[0]
+            cols = _im2col(x.value, kh, kw, stride, padding)[0]
             dkernel = (_rows(cols).T @ gf).reshape(kernel.shape)
         if x.needs_grad:
             dcols = gf @ kernel.value.reshape(kh * kw * cin, cout).T
@@ -451,7 +501,7 @@ def depthwise_conv_op(x: Var, kernel: Var, bias: Var | None = None) -> Var:
     if c != x.shape[-1]:
         raise ValueError(f"depthwise_conv: kernel has {c} channels, map has {x.shape[-1]}")
     pad = kh // 2
-    cols, out_h, out_w = prim.im2col(x.value, kh, kw, 1, pad)
+    cols, out_h, out_w = _im2col(x.value, kh, kw, 1, pad)
     cols = cols.reshape(*cols.shape[:-1], kh * kw, c)
     out = np.einsum("...nkc,kc->...nc", cols, kernel.value.reshape(kh * kw, c))
     if bias is not None:
@@ -462,7 +512,7 @@ def depthwise_conv_op(x: Var, kernel: Var, bias: Var | None = None) -> Var:
         gf = g.reshape(-1, c)  # every output position of every map
         dx = dkernel = db = None
         if kernel.needs_grad:
-            cols = prim.im2col(x.value, kh, kw, 1, pad)[0].reshape(-1, kh * kw, c)
+            cols = _im2col(x.value, kh, kw, 1, pad)[0].reshape(-1, kh * kw, c)
             dkernel = np.einsum("nkc,nc->kc", cols, gf).reshape(kernel.shape)
         if x.needs_grad:
             dcols = np.einsum("kc,nc->nkc", kernel.value.reshape(kh * kw, c), gf)
@@ -474,9 +524,21 @@ def depthwise_conv_op(x: Var, kernel: Var, bias: Var | None = None) -> Var:
     return Var(out, (x, kernel) if bias is None else (x, kernel, bias), vjp)
 
 
+def _lerp_taps(n_out: int, n_in: int) -> tuple[Array, Array, Array]:
+    """1-D taps of a pixel-center-aligned, edge-clamped resize from n_in to n_out.
+
+    Returns (lower index, upper index, weight of the upper index), each [n_out].
+    """
+    pos = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
+    lo = np.floor(pos)
+    lo_i = np.clip(lo, 0, n_in - 1).astype(np.int64)
+    hi_i = np.clip(lo + 1, 0, n_in - 1).astype(np.int64)
+    return lo_i, hi_i, pos - lo
+
+
 def _resize_matrix(n_out: int, n_in: int) -> Array:
     """[n_out, n_in] weights of the 1-D lerp that ``bilinear_resize_op`` applies per axis."""
-    lo, hi, t = prim.lerp_taps(n_out, n_in)
+    lo, hi, t = _lerp_taps(n_out, n_in)
     m = np.zeros((n_out, n_in))
     rows = np.arange(n_out)
     m[rows, lo] = 1.0 - t  # one lower and one upper tap per row; they coincide when clamped
@@ -492,8 +554,8 @@ def bilinear_resize_op(img: Var, out_h: int, out_w: int) -> Var:
     *lead, h, w, c = img.shape
     if out_h < 1 or out_w < 1:
         raise ValueError(f"bilinear_resize: bad output size {out_h}x{out_w}")
-    y0, y1, ty = prim.lerp_taps(out_h, h)
-    x0, x1, tx = prim.lerp_taps(out_w, w)
+    y0, y1, ty = _lerp_taps(out_h, h)
+    x0, x1, tx = _lerp_taps(out_w, w)
     # Each corner is one gather of whole pixels (C values each); the lerps then
     # run over [..., out_h, out_w*C] rows with the x weight repeated per
     # channel, so no inner loop is only C long.
@@ -530,18 +592,88 @@ def bilinear_resize_op(img: Var, out_h: int, out_w: int) -> Var:
     return Var(top.reshape(*lead, out_h, out_w, c), (img,), vjp)
 
 
+_TAP = np.array([0, 1])[:, None, None]  # lower/upper tap offset, [tap, 1, 1]
+_TAP_SIGN = np.array([-1.0, 1.0])[:, None, None]
+
+
+def _sampling_plan(
+    maps_shape: tuple[int, ...], points: Array
+) -> tuple[sparse.csr_array, Array, Array, Array]:
+    """Plan zero-padded sampling of maps of ``maps_shape`` [..., H, W, C] at points [..., N, 2].
+
+    The points carry the maps' leading axes, one set of N per map. With the
+    maps flattened to rows [L*H*W, C] and the points to [M, 2] (M = L*N),
+    point m reads the corner rows ``index[m]`` [2, 2] (lower/upper y tap, then
+    lower/upper x tap) with weight ``taps[a, 1, m] * taps[b, 0, m]``. Returns
+    (CSR operator [M, L*H*W], index [M, 2, 2], taps [tap, axis, M], valid
+    [tap, axis, M]). A tap outside the map (``valid`` false) has weight 0 and
+    points at the nearest row inside.
+    """
+    if len(maps_shape) < 3 or points.ndim != len(maps_shape) - 1 or points.shape[-1] != 2 or (
+        points.shape[:-2] != tuple(maps_shape[:-3])
+    ):
+        raise ValueError(
+            f"bilinear_sample: points must be [..., N, 2] with the maps' leading axes, "
+            f"got maps {tuple(maps_shape)} and points {points.shape}"
+        )
+    h, w = maps_shape[-3:-1]
+    maps = math.prod(maps_shape[:-3])
+    size = np.array([[w], [h]])  # [axis, 1]
+    t = points.reshape(-1, 2).T * size  # [axis, M]
+    t -= 0.5  # continuous pixel-space coordinates
+    lo = np.floor(t)
+    t -= lo  # fractional offset within the cell
+    m = t.shape[1]
+    cell = np.empty((2, 2, m), dtype=np.int64)  # [tap, axis, M]
+    np.add(lo, _TAP, out=cell, casting="unsafe")
+    valid = (cell >= 0) & (cell < size)
+    taps = np.empty((2, 2, m))
+    np.subtract(1.0, t, out=taps[0])
+    taps[1] = t
+    taps *= valid
+    np.maximum(cell, 0, out=cell)
+    np.minimum(cell, size - 1, out=cell)
+    rows = cell[:, 1]
+    rows *= w
+    rows += np.arange(maps, dtype=np.int64).repeat(points.shape[-2]) * (h * w)
+    # [M, 2, 2] results written through [2, 2, M] views: long inner loops
+    index = np.empty((m, 2, 2), dtype=np.int64)
+    np.add(rows[:, None, :], cell[None, :, 0], out=index.transpose(1, 2, 0))
+    weight = np.empty((m, 2, 2))
+    np.multiply(taps[:, None, 1], taps[None, :, 0], out=weight.transpose(1, 2, 0))
+    matrix = sparse.csr_array(
+        (weight.reshape(-1), index.reshape(-1), np.arange(0, 4 * m + 1, 4)),
+        shape=(m, maps * h * w),
+    )
+    return matrix, index, taps, valid
+
+
 def bilinear_sample_op(img: Var, points: Var) -> Var:
     """Differentiable zero-padded sampling; grads flow to maps and coords.
 
     img: [..., H, W, C], points: [..., N, 2] -> [..., N, C]. One sampling plan
-    serves the forward and, kept only while a gradient is needed, the vjp.
+    serves the forward ``S @ maps`` and, kept only while a gradient is needed,
+    the vjp: ``S^T @ g`` for the maps and the corner rows for the points.
     """
     iv, pv = img.value, points.value
-    plan = prim.sampling_plan(iv.shape, pv)
+    matrix, index, taps, valid = _sampling_plan(iv.shape, pv)
+    h, w, c = iv.shape[-3:]
 
     def vjp(g: Array) -> tuple[Array | None, Array | None]:
-        dimg = plan.map_grad(g, iv.shape) if img.needs_grad else None
-        dpts = plan.point_grad(g, iv) if points.needs_grad else None
+        dimg = dpts = None
+        gf = g.reshape(-1, c)
+        if img.needs_grad:
+            dimg = (matrix.T @ gf).reshape(iv.shape)
+        if points.needs_grad:
+            corners = np.take(iv.reshape(-1, c), index, axis=0)  # [M, 2, 2, C]
+            dweight = np.einsum("mabc,mc->mab", corners, gf)
+            # d tap weight / d normalized coordinate: -size, +size, 0 outside
+            slope = valid * (_TAP_SIGN * np.array([[w], [h]]))
+            (wx, wy), (dx, dy) = taps.swapaxes(0, 1), slope.swapaxes(0, 1)
+            dpts = np.empty(g.shape[:-1] + (2,))
+            dpts[..., 0] = np.einsum("mab,am,bm->m", dweight, wy, dx).reshape(g.shape[:-1])
+            dpts[..., 1] = np.einsum("mab,am,bm->m", dweight, dy, wx).reshape(g.shape[:-1])
         return dimg, dpts
 
-    return Var(plan.sample(iv, pv.shape), (img, points), vjp)
+    out = (matrix @ iv.reshape(-1, c)).reshape(*pv.shape[:-1], c)
+    return Var(out, (img, points), vjp)

@@ -37,7 +37,9 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = explorer.load_sweep_spec(args.spec)
-    rows = explorer.sweep(spec, budget_gflops=args.budget)
+    if args.budget is not None:
+        spec = replace(spec, budget_gflops=args.budget)
+    rows = explorer.sweep(spec)
     explorer.emit(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

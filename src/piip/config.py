@@ -132,6 +132,16 @@ def ffn_hidden(dim: int, ratio: float) -> int:
     return int(round(ratio * dim))
 
 
+def _check_hidden_width(where: str, dim: int, ratio: float) -> None:
+    """Raise unless ``ffn_hidden(dim, ratio)`` is a finite width of at least 1."""
+    width = ratio * dim
+    if not math.isfinite(width) or ffn_hidden(dim, ratio) < 1:
+        raise ValidationError(
+            f"{where} hidden width {ratio:g} * {dim} = {width:g} must round to a finite "
+            "width >= 1"
+        )
+
+
 def interaction_positions(depth: int, count: int) -> tuple[int, ...]:
     """Block indices (1-based, "after block k") of the interaction points.
 
@@ -175,6 +185,7 @@ def validate(cfg: PyramidConfig) -> PyramidConfig:
                 raise ValidationError(
                     f"{where}: dim {b.dim} not divisible by heads {b.heads}"
                 )
+            _check_hidden_width(f"{where}: MLP", b.dim, b.mlp_ratio)
             if b.attention_mode is AttentionKind.WINDOWED:
                 wt = b.window_tokens
                 if wt is None or wt < 1:
@@ -233,6 +244,7 @@ def validate(cfg: PyramidConfig) -> PyramidConfig:
     if sched.count > 0 and sched.directions:
         for src, dst in sched.directions:
             dim = cfg.branches[dst - 1].dim
+            _check_hidden_width(f"interactions: branch {dst} FFN", dim, sched.ffn_ratio)
             heads = deform_heads_for(dim, sched)
             if sched.attention_impl is AttentionImpl.DEFORMABLE:
                 vdim = deform_value_dim(dim, sched)

@@ -155,14 +155,16 @@ def config_id(resolutions: tuple[int, ...]) -> str:
     return "r" + "-".join(str(r) for r in resolutions)
 
 
-def sweep(spec: SweepSpec, budget_gflops: float | None = None) -> list[Row]:
+def sweep(spec: SweepSpec) -> list[Row]:
     """Exhaustive resolution grid; rows that break pyramid ordering are dropped.
 
     A combination is kept only when resolutions are non-decreasing with the
     branch index, preserving the narrower-branch-sees-more-pixels layout.
     Rows over budget are flagged via ``within_budget``, never dropped.
     """
-    budget = spec.budget_gflops if budget_gflops is None else budget_gflops
+    budget = spec.budget_gflops
+    if budget is not None and math.isnan(budget):
+        raise ParseError("sweep: budget_gflops must be a number, got nan")
     rows: list[Row] = []
     for combo in itertools.product(*spec.resolutions):
         if any(combo[i] > combo[i + 1] for i in range(len(combo) - 1)):

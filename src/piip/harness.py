@@ -29,9 +29,8 @@ from . import explorer
 from .branches import FeatureMap
 from .config import PRESET_NAMES, PyramidConfig, parse_config, preset, render_config
 from .costmodel import cost_report
-from .interaction import DeformableCrossAttention
+from .interaction import DeformableCrossAttention, reference_points
 from .model import AdamW, PiipModel, classification_labels
-from .primitives import reference_points
 
 
 # ---------------------------------------------------------------------------

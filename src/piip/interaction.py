@@ -30,7 +30,16 @@ from .config import (
     ffn_hidden,
 )
 from .params import ParamSpec
-from .primitives import reference_points
+
+
+def reference_points(grid_h: int, grid_w: int) -> np.ndarray:
+    """Normalized token-center coordinates of a grid, row-major [N, 2] (x, y)."""
+    if grid_h < 1 or grid_w < 1:
+        raise ValueError(f"reference_points: bad grid {grid_h}x{grid_w}")
+    out = np.empty((grid_h, grid_w, 2))  # row-major: y varies over rows
+    out[..., 0] = (np.arange(grid_w, dtype=np.float64) + 0.5) / grid_w
+    out[..., 1] = ((np.arange(grid_h, dtype=np.float64) + 0.5) / grid_h)[:, None]
+    return out.reshape(-1, 2)
 
 
 class DeformableCrossAttention:

@@ -75,6 +75,11 @@ def test_sweep_csv_and_budget(tmp_path, capsys):
     rows = explorer.read_table(out.read_text())[1]
     assert all(r["within_budget"] for r in rows)
 
+    # a NaN budget is an error, not a table with every row over budget
+    capsys.readouterr()
+    assert main(["sweep", str(spec), "--out", str(out), "--budget", "nan"]) == 1
+    assert "budget_gflops must be a number, got nan" in capsys.readouterr().err
+
 
 def test_sweep_json_output(tmp_path):
     spec = tmp_path / "sweep.ini"

@@ -296,7 +296,9 @@ def valid_configs(draw):
     try:
         cf.validate(cfg)
     except cf.ValidationError:
-        assume(False)  # interaction heads that do not divide the attention width
+        # interaction heads that do not divide the attention width, or a hidden
+        # width that rounds to 0
+        assume(False)
     return cfg
 
 
@@ -468,14 +470,31 @@ def with_schedule(**changes) -> cf.PyramidConfig:
          "seed must be non-negative, got -1"),
         (lambda: cf.parse_config(MINIMAL.replace("[branch.2]", "[branch.x]")), cf.ParseError,
          "bad branch section name [branch.x]"),
+        (lambda: cf.validate(with_branch(1, mlp_ratio=0.01)), cf.ValidationError,
+         "branch 1: MLP hidden width 0.01 * 32 = 0.32 must round to a finite width >= 1"),
+        (lambda: cf.validate(with_branch(3, mlp_ratio=0.0625)), cf.ValidationError,
+         "branch 3: MLP hidden width 0.0625 * 8 = 0.5 must round to a finite width >= 1"),
+        (lambda: cf.validate(with_branch(1, mlp_ratio=1e308)), cf.ValidationError,
+         "branch 1: MLP hidden width 1e+308 * 32 = inf must round to a finite width >= 1"),
+        (lambda: cf.validate(with_schedule(ffn_ratio=0.05)), cf.ValidationError,
+         "interactions: branch 3 FFN hidden width 0.05 * 8 = 0.4 must round to a finite "
+         "width >= 1"),
     ],
     ids=[
         "no-branches", "depth-0", "unequal-depths", "patch-0", "resolution-below-patch",
         "windowed-without-tokens", "tokens-with-global", "convnet-attention", "deform-points-0",
         "deform-ratio-above-1", "direction-out-of-range", "direction-to-itself",
         "duplicate-direction", "one-class", "negative-seed", "branch-section-name",
+        "mlp-width-0", "mlp-width-half", "mlp-width-inf", "ffn-width-0",
     ],
 )
 def test_config_checks_raise_their_messages(check, error, message):
     with pytest.raises(error, match=re.escape(message)):
         check()
+
+
+def test_hidden_width_of_one_validates_and_unbuilt_widths_are_not_checked():
+    cf.validate(with_branch(3, mlp_ratio=0.125))  # 0.125 * 8 = 1
+    # convnet blocks use a fixed 4x width; no interaction FFN exists at count 0
+    cf.validate(with_branch(3, arch=cf.Arch.CONVNET, mlp_ratio=0.01))
+    cf.validate(with_schedule(count=0, ffn_ratio=0.05))

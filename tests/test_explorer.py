@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 from importlib import resources
 
 import jsonschema
@@ -169,12 +170,18 @@ def test_sweep_single_point():
 
 def test_sweep_budget_flags_rows():
     spec = explorer.parse_sweep_spec(SPEC_TEXT)
-    rows = explorer.sweep(spec, budget_gflops=0.5e-3)  # 500k MACs
+    rows = explorer.sweep(replace(spec, budget_gflops=0.5e-3))  # 500k MACs
     assert any(r["within_budget"] for r in rows)
     assert any(not r["within_budget"] for r in rows)
     for r in rows:
         assert r["within_budget"] == (r["flops"] <= 0.5e-3 * 1e9)
     assert len(rows) == len(explorer.sweep(spec))  # flagged, never dropped
+
+
+def test_nan_budget_raises():
+    spec = explorer.parse_sweep_spec(SPEC_TEXT + "budget_gflops = nan\n")
+    with pytest.raises(ParseError, match="sweep: budget_gflops must be a number, got nan"):
+        explorer.sweep(spec)
 
 
 def test_sweep_all_descending_raises():
@@ -198,7 +205,7 @@ def test_sweep_flops_monotone_per_branch():
 
 def test_csv_round_trip_exact():
     spec = explorer.parse_sweep_spec(SPEC_TEXT)
-    rows = explorer.sweep(spec, budget_gflops=0.4e-3)
+    rows = explorer.sweep(replace(spec, budget_gflops=0.4e-3))
     text = explorer.render_csv(rows)
     assert text == explorer.render_csv(rows)  # deterministic
     back = explorer.read_table(text)[1]
@@ -284,7 +291,7 @@ SCHEMA = json.loads(resources.files("piip").joinpath("schemas/sweep.json").read_
 
 
 def test_json_output_validates_against_shipped_schema():
-    rows = explorer.sweep(explorer.parse_sweep_spec(SPEC_TEXT), budget_gflops=1.0)
+    rows = explorer.sweep(replace(explorer.parse_sweep_spec(SPEC_TEXT), budget_gflops=1.0))
     doc = json.loads(explorer.render_json(rows))
     jsonschema.validate(doc, SCHEMA)
     assert doc["schema"] == explorer.SCHEMA_ID

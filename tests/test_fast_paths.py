@@ -15,7 +15,6 @@ from scipy.special import erf
 
 from piip import autodiff as ad
 from piip import config
-from piip import primitives as pr
 from piip.model import AdamW, PiipModel
 
 
@@ -98,8 +97,8 @@ def test_flat_adamw_matches_per_tensor_loop(lr, weight_decay):
 def resize_fancy_index(img, out_h, out_w):
     """Bilinear resize with a fancy-index gather per corner over [..., H, W, C]."""
     h, w = img.shape[-3:-1]
-    y0, y1, ty = pr.lerp_taps(out_h, h)
-    x0, x1, tx = pr.lerp_taps(out_w, w)
+    y0, y1, ty = ad._lerp_taps(out_h, h)
+    x0, x1, tx = ad._lerp_taps(out_w, w)
     ty, tx = ty[:, None, None], tx[:, None]
     rows = img[..., y0, :, :]
     top = rows[..., x0, :]
@@ -141,7 +140,7 @@ def test_resize_matches_fancy_index_form(shape, out_h, out_w):
 
 def resize_matrix_add_at(n_out, n_in):
     """1-D resize weights accumulated tap by tap with ``np.add.at``."""
-    lo, hi, t = pr.lerp_taps(n_out, n_in)
+    lo, hi, t = ad._lerp_taps(n_out, n_in)
     m = np.zeros((n_out, n_in))
     rows = np.arange(n_out)
     np.add.at(m, (rows, lo), 1.0 - t)
@@ -160,8 +159,8 @@ def test_resize_matrix_matches_add_at_form(n_out, n_in):
 def im2col_windows(x, kh, kw, stride, padding):
     """Patch rows through a strided sliding-window view (any stride and padding)."""
     *lead, h, w, c = x.shape
-    out_h = pr.conv_out_size(h, kh, stride, padding)
-    out_w = pr.conv_out_size(w, kw, stride, padding)
+    out_h = ad._conv_out_size(h, kh, stride, padding)
+    out_w = ad._conv_out_size(w, kw, stride, padding)
     if padding:
         x = np.pad(x, [(0, 0)] * len(lead) + [(padding, padding)] * 2 + [(0, 0)])
     win = sliding_window_view(x, (kh, kw), axis=(-3, -2))
@@ -181,7 +180,7 @@ def im2col_windows(x, kh, kw, stride, padding):
 )
 def test_patchify_matches_sliding_window_form(shape, k):
     x = np.random.default_rng(k).standard_normal(shape)
-    cols, out_h, out_w = pr.im2col(x, k, k, k, 0)
+    cols, out_h, out_w = ad._im2col(x, k, k, k, 0)
     want, want_h, want_w = im2col_windows(x, k, k, k, 0)
     assert (out_h, out_w) == (want_h, want_w)
     assert bits_equal(cols, want)
@@ -192,7 +191,7 @@ def test_patchify_matches_sliding_window_form(shape, k):
 
 @pytest.mark.parametrize(
     "shape, axes",
-    [((16, 4, 16), (-1,)), ((3, 7), (-1,)), ((2, 5, 1), (-1,)), ((2, 3, 3, 2, 4), pr.GROUP_AXES)],
+    [((16, 4, 16), (-1,)), ((3, 7), (-1,)), ((2, 5, 1), (-1,)), ((2, 3, 3, 2, 4), ad._GROUP_AXES)],
 )
 def test_standardize_matches_mean_form(shape, axes):
     x = np.random.default_rng(len(shape)).standard_normal(shape) * 3.0 + 1.5
@@ -200,7 +199,7 @@ def test_standardize_matches_mean_form(shape, axes):
     want = x - mu
     s = np.sqrt(np.mean(want * want, axis=axes, keepdims=True) + 1e-6)
     want /= s
-    got, got_mu, got_s = pr.standardize(x, axes, 1e-6)
+    got, got_mu, got_s = ad._standardize(x, axes, 1e-6)
     assert bits_equal(got, want) and bits_equal(got_mu, mu) and bits_equal(got_s, s)
 
 
@@ -237,11 +236,11 @@ def test_norm_gradients_match_one_line_forms():
     gm = g.reshape(maps.shape)
     node = ad.group_norm_op(ad.leaf(maps, True), 2, ad.leaf(gain, True), ad.leaf(shift, True))
     grouped = maps.reshape(2, 2, 3, 2, 4)
-    mu = grouped.mean(axis=pr.GROUP_AXES, keepdims=True)
-    s = np.sqrt(np.mean((grouped - mu) ** 2, axis=pr.GROUP_AXES, keepdims=True) + 1e-6)
+    mu = grouped.mean(axis=ad._GROUP_AXES, keepdims=True)
+    s = np.sqrt(np.mean((grouped - mu) ** 2, axis=ad._GROUP_AXES, keepdims=True) + 1e-6)
     xhat = (grouped - mu) / s
     dx = norm_vjp_one_line(gm.reshape(grouped.shape), xhat, s, gain.reshape(2, 4), 2 * 3 * 4,
-                           pr.GROUP_AXES)
+                           ad._GROUP_AXES)
     want = (
         dx.reshape(maps.shape),
         (gm.reshape(-1, 8) * xhat.reshape(-1, 8)).sum(axis=0),

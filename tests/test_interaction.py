@@ -9,10 +9,10 @@ from piip.interaction import (
     DeformableCrossAttention,
     apply_interaction_point,
     build_interaction_directions,
+    reference_points,
 )
 from piip.model import PiipModel
 from piip.params import ParamSpec, allocate
-from piip.primitives import reference_points
 
 RNG = np.random.default_rng(99)
 

@@ -264,7 +264,9 @@ def test_weights_doc_names_exist_in_registry():
     pattern = r'[`"]((?:branch|interaction|head|merge)[\w.]*)[`"]'
     names = {n.removesuffix(".npy") for n in re.findall(pattern, text)}
     assert {"branch1.block1.qkv_w", "interaction1.pair1_2.to2.gamma"} <= names
+    assert {"branch3.embed.ln_g", "branch3.block1.dw_k"} <= names
     tiny = set(PiipModel(TINY, materialize=False).param_spec.decls)
+    tiny |= set(PiipModel(variants.CONVNET_BRANCH, materialize=False).param_spec.decls)
     dense = set(PiipModel(preset("piip-b"), materialize=False).param_spec.decls)  # merge.*
     assert [n for n in names if n not in (dense if n.startswith("merge.") else tiny)] == []
 

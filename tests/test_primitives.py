@@ -7,7 +7,7 @@ import pytest
 from scipy.special import erf
 
 from piip import autodiff as ad
-from piip import primitives as pr
+from piip.interaction import reference_points
 
 import scalar_oracles as ref
 
@@ -129,7 +129,7 @@ def test_bilinear_sample_grid_centers_exact():
     # power-of-two grids make (j + 0.5)/W exactly representable
     for h, w in ((4, 8), (8, 8), (2, 16)):
         x = RNG.standard_normal((h, w, 3))
-        pts = pr.reference_points(h, w)
+        pts = reference_points(h, w)
         got = ad.bilinear_sample_op(ad.leaf(x), ad.leaf(pts)).value
         assert np.array_equal(got, x.reshape(h * w, 3))
 
@@ -197,7 +197,7 @@ def test_depthwise_conv_matches_oracle():
          "got maps (5, 6, 3) and points (2, 4, 2)"),
         (lambda x, k: ad.conv2d_op(x, k((7, 7, 3, 2)), None),
          "im2col: kernel 7x7 larger than padded map 5x6"),
-        (lambda x, k: pr.reference_points(0, 3), "reference_points: bad grid 0x3"),
+        (lambda x, k: reference_points(0, 3), "reference_points: bad grid 0x3"),
         (lambda x, k: ad.matmul(x, k((4, 3, 2))),
          "matmul: batch dims differ (5, 6, 3) @ (4, 3, 2)"),
     ],
@@ -211,7 +211,7 @@ def test_op_input_checks_raise_their_messages(op, message):
 
 def test_reference_points_match_oracle():
     for h, w in ((1, 1), (2, 3), (5, 4), (8, 8)):
-        got = pr.reference_points(h, w)
+        got = reference_points(h, w)
         np.testing.assert_array_equal(got, np.array(ref.reference_points_ref(h, w)))
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piip import autodiff as ad
-from piip import primitives as pr
+from piip.interaction import reference_points
 
 import scalar_oracles as ref
 
@@ -51,7 +51,7 @@ def test_grid_centers_exact_batched_with_exact_map_gradient():
     rng = np.random.default_rng(1)
     for h, w in ((4, 8), (2, 16)):
         maps = rng.standard_normal((2, 3, h, w, 5))
-        points = np.broadcast_to(pr.reference_points(h, w), (2, 3, h * w, 2))
+        points = np.broadcast_to(reference_points(h, w), (2, 3, h * w, 2))
         img = ad.leaf(maps, needs_grad=True)
         out = ad.bilinear_sample_op(img, ad.leaf(points))
         assert np.array_equal(out.value, maps.reshape(2, 3, h * w, 5))
@@ -61,15 +61,15 @@ def test_grid_centers_exact_batched_with_exact_map_gradient():
 
 
 def test_no_grad_sampling_keeps_no_plan(monkeypatch):
-    plans = []
-    build = pr.sampling_plan
+    plans = []  # a weak reference to each plan's CSR operator
+    build = ad._sampling_plan
 
     def spy(*args):
         plan = build(*args)
-        plans.append(weakref.ref(plan))
+        plans.append(weakref.ref(plan[0]))
         return plan
 
-    monkeypatch.setattr(pr, "sampling_plan", spy)
+    monkeypatch.setattr(ad, "_sampling_plan", spy)
     rng = np.random.default_rng(2)
     maps = rng.standard_normal((2, 4, 5, 3))
     points = rng.uniform(-0.2, 1.2, (2, 6, 2))
