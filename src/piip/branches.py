@@ -28,16 +28,17 @@ Params = dict[str, Var]
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """Tokens of one branch (``branch_id`` 0: the merged map) and their grid.
+    """Tokens of one branch, or of the merged map, and their grid.
 
     ``tokens`` is ``[..., grid_h * grid_w, dim]`` in row-major grid order: a
     ``Var`` inside ``PiipModel.graph_forward``, an array in ``forward``'s output.
+    A branch's map is known by its position: in a list of states, branch
+    ``i`` is ``states[i - 1]``.
     """
 
     tokens: Var | np.ndarray
     grid_h: int
     grid_w: int
-    branch_id: int
 
     @property
     def dim(self) -> int:
@@ -63,9 +64,9 @@ class PatchEmbed:
 
     def declare(self, ps: ParamSpec) -> None:
         p, d = self.patch, self.dim
-        ps.declare(f"{self.prefix}.kernel", (p, p, 3, d), "trunc_normal")
-        ps.declare(f"{self.prefix}.bias", (d,), "zeros")
-        ps.declare(f"{self.prefix}.pos", (*self.base_grid, d), "trunc_normal")
+        ps.declare(f"{self.prefix}.kernel", (p, p, 3, d))
+        ps.declare(f"{self.prefix}.bias", (d,), 0.0)
+        ps.declare(f"{self.prefix}.pos", (*self.base_grid, d))
 
     def forward(self, P: Params, image: Var) -> tuple[Var, int, int]:
         grid = ad.conv2d_op(
@@ -86,10 +87,10 @@ class ConvStem:
 
     def declare(self, ps: ParamSpec) -> None:
         p, d = self.patch, self.dim
-        ps.declare(f"{self.prefix}.kernel", (p, p, 3, d), "trunc_normal")
-        ps.declare(f"{self.prefix}.bias", (d,), "zeros")
-        ps.declare(f"{self.prefix}.ln_g", (d,), "ones")
-        ps.declare(f"{self.prefix}.ln_b", (d,), "zeros")
+        ps.declare(f"{self.prefix}.kernel", (p, p, 3, d))
+        ps.declare(f"{self.prefix}.bias", (d,), 0.0)
+        ps.declare(f"{self.prefix}.ln_g", (d,), 1.0)
+        ps.declare(f"{self.prefix}.ln_b", (d,), 0.0)
 
     def forward(self, P: Params, image: Var) -> tuple[Var, int, int]:
         grid = ad.conv2d_op(
@@ -120,18 +121,18 @@ class TransformerBlock:
     def declare(self, ps: ParamSpec) -> None:
         d, h = self.dim, self.hidden
         pre = self.prefix
-        ps.declare(f"{pre}.ln1_g", (d,), "ones")
-        ps.declare(f"{pre}.ln1_b", (d,), "zeros")
-        ps.declare(f"{pre}.qkv_w", (d, 3 * d), "trunc_normal")
-        ps.declare(f"{pre}.qkv_b", (3 * d,), "zeros")
-        ps.declare(f"{pre}.proj_w", (d, d), "trunc_normal")
-        ps.declare(f"{pre}.proj_b", (d,), "zeros")
-        ps.declare(f"{pre}.ln2_g", (d,), "ones")
-        ps.declare(f"{pre}.ln2_b", (d,), "zeros")
-        ps.declare(f"{pre}.mlp1_w", (d, h), "trunc_normal")
-        ps.declare(f"{pre}.mlp1_b", (h,), "zeros")
-        ps.declare(f"{pre}.mlp2_w", (h, d), "trunc_normal")
-        ps.declare(f"{pre}.mlp2_b", (d,), "zeros")
+        ps.declare(f"{pre}.ln1_g", (d,), 1.0)
+        ps.declare(f"{pre}.ln1_b", (d,), 0.0)
+        ps.declare(f"{pre}.qkv_w", (d, 3 * d))
+        ps.declare(f"{pre}.qkv_b", (3 * d,), 0.0)
+        ps.declare(f"{pre}.proj_w", (d, d))
+        ps.declare(f"{pre}.proj_b", (d,), 0.0)
+        ps.declare(f"{pre}.ln2_g", (d,), 1.0)
+        ps.declare(f"{pre}.ln2_b", (d,), 0.0)
+        ps.declare(f"{pre}.mlp1_w", (d, h))
+        ps.declare(f"{pre}.mlp1_b", (h,), 0.0)
+        ps.declare(f"{pre}.mlp2_w", (h, d))
+        ps.declare(f"{pre}.mlp2_b", (d,), 0.0)
 
     def _mix(self, P: Params, x: Var) -> Var:
         """Multi-head self-attention over the token axis, before the output projection.
@@ -200,15 +201,15 @@ class ConvBlock:
         d = self.dim
         pre = self.prefix
         k = self.KERNEL
-        ps.declare(f"{pre}.dw_k", (k, k, d), "trunc_normal")
-        ps.declare(f"{pre}.dw_b", (d,), "zeros")
-        ps.declare(f"{pre}.ln_g", (d,), "ones")
-        ps.declare(f"{pre}.ln_b", (d,), "zeros")
-        ps.declare(f"{pre}.pw1_w", (d, self.EXPAND * d), "trunc_normal")
-        ps.declare(f"{pre}.pw1_b", (self.EXPAND * d,), "zeros")
-        ps.declare(f"{pre}.pw2_w", (self.EXPAND * d, d), "trunc_normal")
-        ps.declare(f"{pre}.pw2_b", (d,), "zeros")
-        ps.declare(f"{pre}.scale", (d,), "zeros")
+        ps.declare(f"{pre}.dw_k", (k, k, d))
+        ps.declare(f"{pre}.dw_b", (d,), 0.0)
+        ps.declare(f"{pre}.ln_g", (d,), 1.0)
+        ps.declare(f"{pre}.ln_b", (d,), 0.0)
+        ps.declare(f"{pre}.pw1_w", (d, self.EXPAND * d))
+        ps.declare(f"{pre}.pw1_b", (self.EXPAND * d,), 0.0)
+        ps.declare(f"{pre}.pw2_w", (self.EXPAND * d, d))
+        ps.declare(f"{pre}.pw2_b", (d,), 0.0)
+        ps.declare(f"{pre}.scale", (d,), 0.0)
 
     def forward(self, P: Params, state: FeatureMap) -> FeatureMap:
         pre = self.prefix
@@ -249,7 +250,7 @@ class Branch:
         if image.shape[-3:-1] != (res, res):
             image = ad.bilinear_resize_op(image, res, res)
         tokens, gh, gw = self.embed.forward(P, image)
-        return FeatureMap(tokens, gh, gw, self.index)
+        return FeatureMap(tokens, gh, gw)
 
     def segment(self, P: Params, state: FeatureMap, from_block: int, to_block: int) -> FeatureMap:
         """Apply blocks [from_block, to_block), 0-based over the stack."""

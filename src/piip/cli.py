@@ -22,7 +22,10 @@ def _load(name_or_path: str) -> PyramidConfig:
     cfg = explorer.resolve_base(name_or_path)
     seed = os.environ.get("PIIP_SEED")
     if seed is not None:
-        cfg = replace(cfg, seed=int(seed))
+        try:
+            cfg = replace(cfg, seed=int(seed))
+        except ValueError:
+            raise ValueError(f"PIIP_SEED must be an integer, got {seed!r}") from None
     return cfg
 
 

@@ -1,13 +1,17 @@
 """Resolution sweeps, Pareto filtering, and plot-ready table output.
 
-A sweep spec is a small INI file:
+A sweep spec is a small INI file. A comment takes a whole line: a ``;``
+after a value is part of the value, so a path may contain one.
 
     [sweep]
-    base = piip-tsb-toy            ; preset name or path to a config file
-    resolutions.1 = 32:97:32       ; start:stop:step (stop exclusive), or
-    resolutions.2 = 64, 128        ; an explicit comma list
+    ; a preset name or the path of a config file
+    base = piip-tsb-toy
+    ; start:stop:step (stop exclusive), or an explicit comma list
+    resolutions.1 = 32:97:32
+    resolutions.2 = 64, 128
     resolutions.3 = 128:257:64
-    budget_gflops = 2.5            ; optional
+    ; optional
+    budget_gflops = 2.5
 
 Tables are lists of ordered dicts. CSV output uses RFC-4180 quoting with
 one column per key; list-valued cells (branch resolutions) are rendered
@@ -106,6 +110,7 @@ def parse_sweep_spec(text: str) -> SweepSpec:
     base = None
     budget = None
     per_branch: dict[int, tuple[int, ...]] = {}
+    keys: dict[int, str] = {}  # branch -> the key that named it
     for key, raw in section.items():
         if key == "base":
             base = resolve_base(raw.strip())
@@ -118,7 +123,11 @@ def parse_sweep_spec(text: str) -> SweepSpec:
             index = key.split(".", 1)[1]
             if not index.isdecimal():
                 raise ParseError(f"sweep: {key!r} must name a branch as resolutions.<N>")
-            per_branch[int(index)] = _parse_candidates(raw, f"sweep: {key}")
+            idx = int(index)
+            if idx in keys:
+                raise ParseError(f"sweep: {key!r} repeats {keys[idx]!r}")
+            keys[idx] = key
+            per_branch[idx] = _parse_candidates(raw, f"sweep: {key}")
         else:
             raise ParseError(f"sweep: unknown key {key!r} (expected "
                              f"{sorted(known)} or resolutions.<branch>)")

@@ -57,14 +57,14 @@ class DeformableCrossAttention:
         d, vd = self.dim, self.value_dim
         mk = self.heads * self.points
         pre = self.prefix
-        ps.declare(f"{pre}.val_w", (d, vd), "trunc_normal")
-        ps.declare(f"{pre}.val_b", (vd,), "zeros")
-        ps.declare(f"{pre}.out_w", (vd, d), "trunc_normal")
-        ps.declare(f"{pre}.out_b", (d,), "zeros")
-        ps.declare(f"{pre}.off_w", (d, mk * 2), "trunc_normal")
-        ps.declare(f"{pre}.off_b", (mk * 2,), "zeros")
-        ps.declare(f"{pre}.wt_w", (d, mk), "trunc_normal")
-        ps.declare(f"{pre}.wt_b", (mk,), "zeros")
+        ps.declare(f"{pre}.val_w", (d, vd))
+        ps.declare(f"{pre}.val_b", (vd,), 0.0)
+        ps.declare(f"{pre}.out_w", (vd, d))
+        ps.declare(f"{pre}.out_b", (d,), 0.0)
+        ps.declare(f"{pre}.off_w", (d, mk * 2))
+        ps.declare(f"{pre}.off_b", (mk * 2,), 0.0)
+        ps.declare(f"{pre}.wt_w", (d, mk))
+        ps.declare(f"{pre}.wt_b", (mk,), 0.0)
 
     def forward(
         self,
@@ -120,8 +120,8 @@ class RegularCrossAttention:
         d = self.dim
         pre = self.prefix
         for name in ("q", "k", "v", "out"):
-            ps.declare(f"{pre}.{name}_w", (d, d), "trunc_normal")
-            ps.declare(f"{pre}.{name}_b", (d,), "zeros")
+            ps.declare(f"{pre}.{name}_w", (d, d))
+            ps.declare(f"{pre}.{name}_b", (d,), 0.0)
 
     def forward(
         self,
@@ -180,21 +180,21 @@ class InteractionDirection:
     def declare(self, ps: ParamSpec) -> None:
         d, s, h = self.dst_dim, self.src_dim, self.hidden
         pre = self.prefix
-        ps.declare(f"{pre}.fc_w", (s, d), "trunc_normal")
-        ps.declare(f"{pre}.fc_b", (d,), "zeros")
-        ps.declare(f"{pre}.qln_g", (d,), "ones")
-        ps.declare(f"{pre}.qln_b", (d,), "zeros")
-        ps.declare(f"{pre}.vln_g", (d,), "ones")
-        ps.declare(f"{pre}.vln_b", (d,), "zeros")
+        ps.declare(f"{pre}.fc_w", (s, d))
+        ps.declare(f"{pre}.fc_b", (d,), 0.0)
+        ps.declare(f"{pre}.qln_g", (d,), 1.0)
+        ps.declare(f"{pre}.qln_b", (d,), 0.0)
+        ps.declare(f"{pre}.vln_g", (d,), 1.0)
+        ps.declare(f"{pre}.vln_b", (d,), 0.0)
         self.attn.declare(ps)
-        ps.declare(f"{pre}.fln_g", (d,), "ones")
-        ps.declare(f"{pre}.fln_b", (d,), "zeros")
-        ps.declare(f"{pre}.ffn1_w", (d, h), "trunc_normal")
-        ps.declare(f"{pre}.ffn1_b", (h,), "zeros")
-        ps.declare(f"{pre}.ffn2_w", (h, d), "trunc_normal")
-        ps.declare(f"{pre}.ffn2_b", (d,), "zeros")
-        ps.declare(f"{pre}.gamma", (d,), "zeros")
-        ps.declare(f"{pre}.tau", (d,), "zeros")
+        ps.declare(f"{pre}.fln_g", (d,), 1.0)
+        ps.declare(f"{pre}.fln_b", (d,), 0.0)
+        ps.declare(f"{pre}.ffn1_w", (d, h))
+        ps.declare(f"{pre}.ffn1_b", (h,), 0.0)
+        ps.declare(f"{pre}.ffn2_w", (h, d))
+        ps.declare(f"{pre}.ffn2_b", (d,), 0.0)
+        ps.declare(f"{pre}.gamma", (d,), 0.0)
+        ps.declare(f"{pre}.tau", (d,), 0.0)
 
     def forward(self, P: Params, dst: FeatureMap, src: FeatureMap) -> Var:
         """New tokens for the destination branch (same shape as dst.tokens)."""
@@ -232,14 +232,14 @@ def apply_interaction_point(
 ) -> list[FeatureMap]:
     """Run every direction against the incoming states and apply all updates.
 
+    ``states[i - 1]`` is branch ``i``, the numbering of ``src`` and ``dst``.
     Each direction sees the features as they were *before* this interaction
     point; a branch updated by several directions accumulates the deltas in
     list order on top of its original tokens.
     """
-    by_id = {s.branch_id: s for s in states}
-    new_tokens: dict[int, Var] = {s.branch_id: s.tokens for s in states}
+    new_tokens = [s.tokens for s in states]
     for d in directions:
-        dst = by_id[d.dst]
-        delta = ad.sub(d.forward(P, dst, by_id[d.src]), dst.tokens)
-        new_tokens[d.dst] = ad.add(new_tokens[d.dst], delta)
-    return [replace(s, tokens=new_tokens[s.branch_id]) for s in states]
+        dst = states[d.dst - 1]
+        delta = ad.sub(d.forward(P, dst, states[d.src - 1]), dst.tokens)
+        new_tokens[d.dst - 1] = ad.add(new_tokens[d.dst - 1], delta)
+    return [replace(s, tokens=t) for s, t in zip(states, new_tokens)]

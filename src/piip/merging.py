@@ -36,22 +36,21 @@ class MergeModule:
 
     def declare(self, ps: ParamSpec) -> None:
         d1 = self.out_dim
-        for j in range(2, self.n + 1):
-            dj = self.dims[j - 1]
+        for j, dj in enumerate(self.dims[1:], start=2):
             pre = f"merge.proj{j}"
             if self.style is ProjStyle.CONV3X3:
-                ps.declare(f"{pre}.conv1_k", (3, 3, dj, d1), "trunc_normal")
-                ps.declare(f"{pre}.conv1_b", (d1,), "zeros")
-                ps.declare(f"{pre}.gn_g", (d1,), "ones")
-                ps.declare(f"{pre}.gn_b", (d1,), "zeros")
-                ps.declare(f"{pre}.conv2_k", (3, 3, d1, d1), "trunc_normal")
-                ps.declare(f"{pre}.conv2_b", (d1,), "zeros")
+                ps.declare(f"{pre}.conv1_k", (3, 3, dj, d1))
+                ps.declare(f"{pre}.conv1_b", (d1,), 0.0)
+                ps.declare(f"{pre}.gn_g", (d1,), 1.0)
+                ps.declare(f"{pre}.gn_b", (d1,), 0.0)
+                ps.declare(f"{pre}.conv2_k", (3, 3, d1, d1))
+                ps.declare(f"{pre}.conv2_b", (d1,), 0.0)
             else:
-                ps.declare(f"{pre}.lin_w", (dj, d1), "trunc_normal")
-                ps.declare(f"{pre}.lin_b", (d1,), "zeros")
-                ps.declare(f"{pre}.gn_g", (d1,), "ones")
-                ps.declare(f"{pre}.gn_b", (d1,), "zeros")
-        ps.declare("merge.w", (self.n,), "const", fill=1.0 / self.n)
+                ps.declare(f"{pre}.lin_w", (dj, d1))
+                ps.declare(f"{pre}.lin_b", (d1,), 0.0)
+                ps.declare(f"{pre}.gn_g", (d1,), 1.0)
+                ps.declare(f"{pre}.gn_b", (d1,), 0.0)
+        ps.declare("merge.w", (self.n,), 1.0 / self.n)
 
     def _project(self, P: Params, j: int, grid: Var) -> Var:
         if j == 1:
@@ -70,8 +69,7 @@ class MergeModule:
         """Merged [..., H, W, D] map on the largest grid at the widest branch's width."""
         th, tw = self.target_grid
         total: Var | None = None
-        for state in states:
-            j = state.branch_id
+        for j, state in enumerate(states, start=1):
             proj = self._project(P, j, state.as_grid())
             if (state.grid_h, state.grid_w) != (th, tw):
                 proj = ad.bilinear_resize_op(proj, th, tw)
@@ -88,26 +86,25 @@ class ClassificationHead:
     def __init__(self, cfg: PyramidConfig) -> None:
         self.dims = [b.dim for b in cfg.branches]
         self.classes = cfg.classes
-        self.n = len(cfg.branches)
 
     def declare(self, ps: ParamSpec) -> None:
-        for j in range(1, self.n + 1):
-            d = self.dims[j - 1]
+        for j, d in enumerate(self.dims, start=1):
             pre = f"head{j}"
-            ps.declare(f"{pre}.ln_g", (d,), "ones")
-            ps.declare(f"{pre}.ln_b", (d,), "zeros")
+            ps.declare(f"{pre}.ln_g", (d,), 1.0)
+            ps.declare(f"{pre}.ln_b", (d,), 0.0)
             # zero-init classifier: training starts from uniform logits
-            ps.declare(f"{pre}.w", (d, self.classes), "zeros")
-            ps.declare(f"{pre}.b", (self.classes,), "zeros")
+            ps.declare(f"{pre}.w", (d, self.classes), 0.0)
+            ps.declare(f"{pre}.b", (self.classes,), 0.0)
 
-    def branch_logits(self, P: Params, state: FeatureMap) -> Var:
-        pre = f"head{state.branch_id}"
+    def branch_logits(self, P: Params, j: int, state: FeatureMap) -> Var:
+        """Logits of branch ``j`` (1-based) from its final ``state``."""
+        pre = f"head{j}"
         pooled = ad.mean_op(state.tokens, axis=-2)  # [..., D]
         pooled = ad.layer_norm_op(pooled, P[f"{pre}.ln_g"], P[f"{pre}.ln_b"])
         return ad.matmul(pooled, P[f"{pre}.w"], P[f"{pre}.b"])  # [..., classes]
 
     def forward(self, P: Params, states: list[FeatureMap]) -> tuple[list[Var], Var]:
-        per_branch = [self.branch_logits(P, s) for s in states]
+        per_branch = [self.branch_logits(P, j, s) for j, s in enumerate(states, start=1)]
         return per_branch, classify(per_branch)
 
 

@@ -78,23 +78,14 @@ class PiipModel:
             build_interaction_directions(p + 1, dims, cfg.interactions)
             for p in range(len(self.positions))
         ]
-        self.merge: MergeModule | None = None
-        self.head: ClassificationHead | None = None
-        if cfg.merge_mode is MergeMode.DENSE:
-            self.merge = MergeModule(cfg)
-        else:
-            self.head = ClassificationHead(cfg)
+        self.output: MergeModule | ClassificationHead = (
+            MergeModule(cfg) if cfg.merge_mode is MergeMode.DENSE else ClassificationHead(cfg)
+        )
 
-        self.param_spec = ParamSpec()
-        for branch in self.branches:
-            branch.declare(self.param_spec)
-        for directions in self.interaction_points:
-            for direction in directions:
-                direction.declare(self.param_spec)
-        if self.merge is not None:
-            self.merge.declare(self.param_spec)
-        if self.head is not None:
-            self.head.declare(self.param_spec)
+        self.param_spec = ParamSpec()  # declaration order fixes the seeded init
+        directions = [d for point in self.interaction_points for d in point]
+        for module in [*self.branches, *directions, self.output]:
+            module.declare(self.param_spec)
 
         self.params: dict[str, np.ndarray] = {}
         if materialize:
@@ -134,27 +125,23 @@ class PiipModel:
         Every output carries the batch axis when the input does.
         """
         img_var = ad.as_var(self._check_image(image))
-        depth = self.config.branches[0].depth
         states = [branch.embed_forward(P, img_var) for branch in self.branches]
         cursor = 0
-        for directions, pos in zip(self.interaction_points, self.positions):
+        # the last interaction point follows the final block; without one, a single stop there
+        for p, stop in enumerate(self.positions or (self.config.branches[0].depth,)):
             states = [
-                branch.segment(P, state, cursor, pos)
+                branch.segment(P, state, cursor, stop)
                 for branch, state in zip(self.branches, states)
             ]
-            states = apply_interaction_point(P, states, directions)
-            cursor = pos
-        states = [
-            branch.segment(P, state, cursor, depth)
-            for branch, state in zip(self.branches, states)
-        ]
-        if self.merge is not None:
-            grid = self.merge.forward(P, states)
-            th, tw = self.merge.target_grid
+            if self.interaction_points:
+                states = apply_interaction_point(P, states, self.interaction_points[p])
+            cursor = stop
+        if isinstance(self.output, MergeModule):
+            grid = self.output.forward(P, states)
+            th, tw = self.output.target_grid
             tokens = ad.reshape(grid, grid.shape[:-3] + (th * tw, grid.shape[-1]))
-            return Forward(states, FeatureMap(tokens, th, tw, 0), None, None)
-        assert self.head is not None
-        branch_logits, logits = self.head.forward(P, states)
+            return Forward(states, FeatureMap(tokens, th, tw), None, None)
+        branch_logits, logits = self.output.forward(P, states)
         return Forward(states, None, branch_logits, logits)
 
     def forward(self, image: np.ndarray) -> Forward:

@@ -1,9 +1,10 @@
 """Flat parameter registry: every learnable tensor has exactly one name.
 
-Layers *declare* their parameters (name, shape, init rule) into a
-``ParamSpec``; allocation is a separate deterministic step so that shape-only
-uses (parameter counting, serialization headers) never have to materialize a
-large model.
+Layers *declare* their parameters (name, shape, fill) into a ``ParamSpec``.
+A tensor declared without a fill draws a truncated normal; one with a fill
+holds that constant everywhere. Allocation is a separate deterministic step
+so that shape-only uses (parameter counting, serialization headers) never
+have to materialize a large model.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import numpy as np
 @dataclass(frozen=True)
 class ParamDecl:
     shape: tuple[int, ...]
-    init: str  # "trunc_normal" | "zeros" | "ones" | "const"
-    fill: float = 0.0
+    fill: float | None = None  # None: truncated normal
 
     @property
     def size(self) -> int:
@@ -30,12 +30,10 @@ class ParamSpec:
     def __init__(self) -> None:
         self.decls: dict[str, ParamDecl] = {}
 
-    def declare(
-        self, name: str, shape: tuple[int, ...], init: str = "trunc_normal", fill: float = 0.0
-    ) -> None:
+    def declare(self, name: str, shape: tuple[int, ...], fill: float | None = None) -> None:
         if name in self.decls:
             raise ValueError(f"parameter {name!r} declared twice")
-        self.decls[name] = ParamDecl(tuple(shape), init, fill)
+        self.decls[name] = ParamDecl(tuple(shape), fill)
 
     def total(self) -> int:
         return sum(d.size for d in self.decls.values())
@@ -63,14 +61,8 @@ def allocate(spec: ParamSpec, seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     out: dict[str, np.ndarray] = {}
     for name, decl in spec.decls.items():
-        if decl.init == "trunc_normal":
+        if decl.fill is None:
             out[name] = trunc_normal(rng, decl.shape)
-        elif decl.init == "zeros":
-            out[name] = np.zeros(decl.shape)
-        elif decl.init == "ones":
-            out[name] = np.ones(decl.shape)
-        elif decl.init == "const":
-            out[name] = np.full(decl.shape, decl.fill, dtype=np.float64)
         else:
-            raise ValueError(f"unknown init rule {decl.init!r} for {name!r}")
+            out[name] = np.full(decl.shape, decl.fill, dtype=np.float64)
     return out

@@ -75,7 +75,7 @@ def branch_case(spec, grid):
     gh, gw = grid
 
     def block(P, xs):
-        state = FeatureMap(xs[0], gh, gw, 1)
+        state = FeatureMap(xs[0], gh, gw)
         return branch.segment(P, state, 0, spec.depth).tokens
 
     return block, params
@@ -149,7 +149,7 @@ def test_merge_batch(style):
     params = random_params(merge.declare, 8)
 
     def layer(P, xs):
-        states = [FeatureMap(xs[0], 2, 2, 1), FeatureMap(xs[1], 4, 4, 2)]
+        states = [FeatureMap(xs[0], 2, 2), FeatureMap(xs[1], 4, 4)]
         return merge.forward(P, states)
 
     inputs = [RNG.standard_normal((B, 4, 12)), RNG.standard_normal((B, 16, 8))]
@@ -161,7 +161,7 @@ def test_classification_heads_batch():
     params = random_params(head.declare, 9)
 
     def layer(P, xs):
-        states = [FeatureMap(xs[0], 2, 2, 1), FeatureMap(xs[1], 4, 4, 2)]
+        states = [FeatureMap(xs[0], 2, 2), FeatureMap(xs[1], 4, 4)]
         return head.forward(P, states)[1]
 
     inputs = [RNG.standard_normal((B, 4, 12)), RNG.standard_normal((B, 16, 8))]

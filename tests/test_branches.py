@@ -87,8 +87,8 @@ def test_windowed_partition_restricts_attention():
     tok_a = RNG.standard_normal((64, 16))
     tok_b = tok_a.copy()
     tok_b[32:] += 1.0  # bottom half: different windows
-    sa = FeatureMap(ad.leaf(tok_a), 8, 8, 1)
-    sb = FeatureMap(ad.leaf(tok_b), 8, 8, 1)
+    sa = FeatureMap(ad.leaf(tok_a), 8, 8)
+    sb = FeatureMap(ad.leaf(tok_b), 8, 8)
     out_a = branch.blocks[0].forward(P, sa).tokens.value
     out_b = branch.blocks[0].forward(P, sb).tokens.value
     assert np.array_equal(out_a[:32], out_b[:32])

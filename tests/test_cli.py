@@ -186,6 +186,15 @@ def test_piip_seed_env_changes_training(tmp_path, monkeypatch):
     assert rows_a != rows_b
 
 
+def test_piip_seed_env_must_be_an_integer(tmp_path, capsys, monkeypatch):
+    # used to print int()'s own message, which names no variable
+    monkeypatch.setenv("PIIP_SEED", "abc")
+    out = tmp_path / "metrics.csv"
+    assert main(["train-toy", "piip-tiny-test", "--out", str(out), "--steps", "2"]) == 1
+    assert capsys.readouterr().err == "error: PIIP_SEED must be an integer, got 'abc'\n"
+    assert not out.exists()
+
+
 def test_verify_subcommand(monkeypatch, capsys):
     verdicts = [harness.Verdict("stub pass", True, "a"), harness.Verdict("stub fail", False, "b")]
     monkeypatch.setattr(harness, "CHECKS", tuple((lambda v=v: v) for v in verdicts))

@@ -3,6 +3,7 @@
 import configparser
 import math
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -248,6 +249,21 @@ def test_unknown_preset():
 RATIOS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
+def ratios_for(*dims):
+    """Ratios whose width ``ffn_hidden(d, ratio)`` is finite and >= 1 for every d in ``dims``.
+
+    The bounds are the extreme such floats, so the smallest and the largest
+    magnitudes a width allows are still drawn.
+    """
+    lo = 0.5 / min(dims)
+    while cf.ffn_hidden(min(dims), lo) < 1:
+        lo = math.nextafter(lo, math.inf)
+    hi = sys.float_info.max / max(dims)
+    while not math.isfinite(hi * max(dims)):
+        hi = math.nextafter(hi, 0.0)
+    return st.floats(lo, hi)
+
+
 @st.composite
 def valid_configs(draw):
     """Configs ``validate`` accepts, covering every field ``render_config`` writes."""
@@ -260,9 +276,10 @@ def valid_configs(draw):
         patch = draw(st.integers(1, 4))
         least = -(-resolution // patch)  # non-decreasing resolutions, whole patches
         resolution = patch * draw(st.integers(least, least + 4))
+        convnet = draw(st.booleans())  # a convnet branch has no MLP width to keep >= 1
         common = dict(depth=depth, dim=dim, patch_size=patch, resolution=resolution,
-                      mlp_ratio=draw(RATIOS))
-        if draw(st.booleans()):
+                      mlp_ratio=draw(RATIOS if convnet else ratios_for(dim)))
+        if convnet:
             branches.append(cf.BranchSpec(heads=draw(st.integers(-2, 4)), arch=cf.Arch.CONVNET,
                                           **common))
             continue
@@ -275,12 +292,16 @@ def valid_configs(draw):
     nonadjacent = draw(st.booleans())
     pairs = [(s, d) for s in range(1, n + 1) for d in range(1, n + 1)
              if s != d and (nonadjacent or abs(s - d) == 1)]
+    count = draw(st.integers(0, depth))
+    directions = tuple(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else ()
     schedule = cf.InteractionSchedule(
-        count=draw(st.integers(0, depth)),
-        directions=tuple(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else (),
+        count=count,
+        directions=directions,
         deform_heads=draw(st.one_of(st.none(), st.integers(1, 4))),
         deform_points=draw(st.integers(1, 6)),
-        ffn_ratio=draw(RATIOS),
+        # only the branches a direction updates have an interaction FFN
+        ffn_ratio=draw(ratios_for(*(dims[d - 1] for _, d in directions))
+                       if count and directions else RATIOS),
         deform_ratio=draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))),
         attention_impl=draw(st.sampled_from(cf.AttentionImpl)),
         allow_nonadjacent=nonadjacent,
@@ -296,8 +317,7 @@ def valid_configs(draw):
     try:
         cf.validate(cfg)
     except cf.ValidationError:
-        # interaction heads that do not divide the attention width, or a hidden
-        # width that rounds to 0
+        # interaction heads that do not divide the attention width
         assume(False)
     return cfg
 

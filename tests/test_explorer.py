@@ -114,6 +114,11 @@ def test_parse_sweep_spec_errors():
     for key in ("resolutions.x", "resolutions.", "resolutions.-1", "resolutions.²"):
         with pytest.raises(ParseError, match="resolutions.<N>"):
             explorer.parse_sweep_spec(f"[sweep]\nbase = piip-tiny-test\n{key} = 16\n")
+    # resolutions.01 used to replace resolutions.1 without a word
+    with pytest.raises(ParseError, match=r"'resolutions.01' repeats 'resolutions.1'"):
+        explorer.parse_sweep_spec(
+            "[sweep]\nbase = piip-tiny-test\nresolutions.1 = 16\nresolutions.01 = 32\n"
+        )
 
 
 SPEC_VALUES = st.one_of(

@@ -148,7 +148,7 @@ def test_make_dataset_empty():
 
 
 def test_high_freq_fraction_needs_a_grid():
-    fmap = FeatureMap(np.ones((4, 1)), 2, 2, 1)
+    fmap = FeatureMap(np.ones((4, 1)), 2, 2)
     with pytest.raises(ValueError, match="4x4"):
         harness.high_freq_fraction(fmap)
 
@@ -159,20 +159,20 @@ def test_high_freq_fraction_rejects_a_stacked_map():
     assert fmap.tokens.shape[0] == 2
     with pytest.raises(ValueError, match=r"one map's \[N, D\] tokens"):
         harness.high_freq_fraction(fmap)
-    single = FeatureMap(fmap.tokens[0], fmap.grid_h, fmap.grid_w, fmap.branch_id)
+    single = FeatureMap(fmap.tokens[0], fmap.grid_h, fmap.grid_w)
     assert 0.0 <= harness.high_freq_fraction(single) <= 1.0
 
 
 def test_high_freq_fraction_extremes():
-    const = FeatureMap(np.full((64, 2), 3.5), 8, 8, 1)
+    const = FeatureMap(np.full((64, 2), 3.5), 8, 8)
     assert harness.high_freq_fraction(const) == 0.0
 
     i, j = np.mgrid[0:8, 0:8]
     checker = np.where((i + j) % 2 == 0, 1.0, -1.0)
-    fmap = FeatureMap(checker.reshape(64, 1), 8, 8, 1)
+    fmap = FeatureMap(checker.reshape(64, 1), 8, 8)
     assert harness.high_freq_fraction(fmap) == pytest.approx(1.0)
 
-    zero = FeatureMap(np.zeros((64, 1)), 8, 8, 1)
+    zero = FeatureMap(np.zeros((64, 1)), 8, 8)
     assert harness.high_freq_fraction(zero) == 0.0
 
 

@@ -19,9 +19,9 @@ RNG = np.random.default_rng(99)
 
 def make_states(dims=(16, 8), grids=((2, 2), (4, 4))):
     states = []
-    for i, (d, (gh, gw)) in enumerate(zip(dims, grids), start=1):
+    for d, (gh, gw) in zip(dims, grids):
         tokens = RNG.standard_normal((gh * gw, d))
-        states.append(FeatureMap(ad.leaf(tokens), gh, gw, i))
+        states.append(FeatureMap(ad.leaf(tokens), gh, gw))
     return states
 
 

@@ -38,8 +38,8 @@ def build_merge(style=ProjStyle.LINEAR, seed=3):
     merge.declare(ps)
     P = {k: ad.leaf(v) for k, v in allocate(ps, seed).items()}
     states = [
-        FeatureMap(ad.leaf(RNG.standard_normal((4, 12))), 2, 2, 1),
-        FeatureMap(ad.leaf(RNG.standard_normal((16, 8))), 4, 4, 2),
+        FeatureMap(ad.leaf(RNG.standard_normal((4, 12))), 2, 2),
+        FeatureMap(ad.leaf(RNG.standard_normal((16, 8))), 4, 4),
     ]
     return merge, P, states
 
@@ -120,8 +120,8 @@ def test_classification_head_averages_branch_logits():
     P["head1.w"] = ad.leaf(RNG.standard_normal((12, 5)))
     P["head2.w"] = ad.leaf(RNG.standard_normal((8, 5)))
     states = [
-        FeatureMap(ad.leaf(RNG.standard_normal((4, 12))), 2, 2, 1),
-        FeatureMap(ad.leaf(RNG.standard_normal((16, 8))), 4, 4, 2),
+        FeatureMap(ad.leaf(RNG.standard_normal((4, 12))), 2, 2),
+        FeatureMap(ad.leaf(RNG.standard_normal((16, 8))), 4, 4),
     ]
     per_branch, logits = head.forward(P, states)
     assert logits.shape == (5,)
@@ -139,8 +139,8 @@ def test_branch_logits_hand_computed():
     w = RNG.standard_normal((12, 5))
     P["head1.w"] = ad.leaf(w)
     tokens = RNG.standard_normal((4, 12))
-    state = FeatureMap(ad.leaf(tokens), 2, 2, 1)
-    got = head.branch_logits(P, state).value
+    state = FeatureMap(ad.leaf(tokens), 2, 2)
+    got = head.branch_logits(P, 1, state).value
 
     pooled = tokens.mean(axis=0, keepdims=True)
     normed = np.array(ref.layer_norm_ref(pooled, P["head1.ln_g"].value, P["head1.ln_b"].value))

@@ -31,6 +31,6 @@ def test_trunc_normal_bitwise_equals_rescan(seed):
 
 def test_declaring_a_name_twice_raises():
     spec = ParamSpec()
-    spec.declare("branch1.embed.bias", (4,), "zeros")
+    spec.declare("branch1.embed.bias", (4,), 0.0)
     with pytest.raises(ValueError, match="parameter 'branch1.embed.bias' declared twice"):
-        spec.declare("branch1.embed.bias", (4,), "zeros")
+        spec.declare("branch1.embed.bias", (4,), 0.0)
