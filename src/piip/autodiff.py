@@ -137,15 +137,6 @@ def add(a: Var, b: Var) -> Var:
     )
 
 
-def sub(a: Var, b: Var) -> Var:
-    a, b = as_var(a), as_var(b)
-    return Var(
-        a.value - b.value,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape) if b.needs_grad else None),
-    )
-
-
 def mul(a: Var, b: Var) -> Var:
     a, b = as_var(a), as_var(b)
     return Var(

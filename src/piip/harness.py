@@ -336,6 +336,8 @@ def make_dataset(
     task: SyntheticTask, n: int, seed: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """n images [canvas, canvas, 3] in [0, 1] plus integer labels."""
+    if task.glyph_size > task.canvas:
+        raise ValueError(f"a {task.glyph_size}-px glyph does not fit a {task.canvas}-px canvas")
     rng = np.random.default_rng(task.seed if seed is None else seed)
     glyphs = glyph_bitmaps(task)
     c, g = task.canvas, task.glyph_size

@@ -8,9 +8,9 @@ grid position. The result enters through a per-channel zero-initialized gate
 followed by a gated thin FFN, so a freshly built model is exactly the stack
 of its isolated branches.
 
-All directions at one interaction point read the *pre-update* features; a
-branch receiving several updates (e.g. the middle branch of a three-level
-pyramid) accumulates them additively in pair order.
+Each direction returns the update it adds. All directions at one point read
+the *pre-update* features; a branch receiving several updates (e.g. the
+middle branch of a three-level pyramid) adds them to its tokens in pair order.
 """
 
 from __future__ import annotations
@@ -153,14 +153,14 @@ class InteractionDirection:
     """
 
     def __init__(
-        self, point: int, src: int, dst: int, dims: dict[int, int], schedule: InteractionSchedule
+        self, point: int, src: int, dst: int, dims: list[int], schedule: InteractionSchedule
     ) -> None:
         self.src = src
         self.dst = dst
         lo, hi = sorted((src, dst))
         self.prefix = f"interaction{point}.pair{lo}_{hi}.to{dst}"
-        self.dst_dim = dst_dim = dims[dst]
-        self.src_dim = dims[src]
+        self.dst_dim = dst_dim = dims[dst - 1]
+        self.src_dim = dims[src - 1]
         self.hidden = ffn_hidden(dst_dim, schedule.ffn_ratio)
         if schedule.attention_impl is AttentionImpl.DEFORMABLE:
             self.attn: DeformableCrossAttention | RegularCrossAttention = (
@@ -197,7 +197,7 @@ class InteractionDirection:
         ps.declare(f"{pre}.tau", (d,), 0.0)
 
     def forward(self, P: Params, dst: FeatureMap, src: FeatureMap) -> Var:
-        """New tokens for the destination branch (same shape as dst.tokens)."""
+        """The update ``gamma * attn + tau * FFN(LN(F + gamma * attn))`` to ``dst.tokens``."""
         pre = self.prefix
         reconciled = ad.matmul(src.tokens, P[f"{pre}.fc_w"], P[f"{pre}.fc_b"])
         qn = ad.layer_norm_op(dst.tokens, P[f"{pre}.qln_g"], P[f"{pre}.qln_b"])
@@ -205,17 +205,17 @@ class InteractionDirection:
         attn_out = self.attn.forward(
             P, qn, (dst.grid_h, dst.grid_w), vn, (src.grid_h, src.grid_w)
         )
-        gated = ad.add(dst.tokens, ad.mul(attn_out, P[f"{pre}.gamma"]))
-        fn = ad.layer_norm_op(gated, P[f"{pre}.fln_g"], P[f"{pre}.fln_b"])
+        attn_update = ad.mul(attn_out, P[f"{pre}.gamma"])
+        fn = ad.layer_norm_op(ad.add(dst.tokens, attn_update), P[f"{pre}.fln_g"], P[f"{pre}.fln_b"])
         fn = ad.matmul(fn, P[f"{pre}.ffn1_w"], P[f"{pre}.ffn1_b"])
         fn = ad.gelu_op(fn)
         fn = ad.matmul(fn, P[f"{pre}.ffn2_w"], P[f"{pre}.ffn2_b"])
-        return ad.add(gated, ad.mul(fn, P[f"{pre}.tau"]))
+        return ad.add(attn_update, ad.mul(fn, P[f"{pre}.tau"]))
 
 
 def build_interaction_directions(
     point_index: int,
-    dims: dict[int, int],
+    dims: list[int],
     schedule: InteractionSchedule,
 ) -> list[InteractionDirection]:
     """The directions of one interaction point, in declaration order.
@@ -230,16 +230,15 @@ def build_interaction_directions(
 def apply_interaction_point(
     P: Params, states: list[FeatureMap], directions: list[InteractionDirection]
 ) -> list[FeatureMap]:
-    """Run every direction against the incoming states and apply all updates.
+    """Run every direction against the incoming states and add their updates.
 
     ``states[i - 1]`` is branch ``i``, the numbering of ``src`` and ``dst``.
     Each direction sees the features as they were *before* this interaction
-    point; a branch updated by several directions accumulates the deltas in
-    list order on top of its original tokens.
+    point; a branch updated by several directions adds the updates to its
+    original tokens in list order.
     """
     new_tokens = [s.tokens for s in states]
     for d in directions:
-        dst = states[d.dst - 1]
-        delta = ad.sub(d.forward(P, dst, states[d.src - 1]), dst.tokens)
-        new_tokens[d.dst - 1] = ad.add(new_tokens[d.dst - 1], delta)
+        update = d.forward(P, states[d.dst - 1], states[d.src - 1])
+        new_tokens[d.dst - 1] = ad.add(new_tokens[d.dst - 1], update)
     return [replace(s, tokens=t) for s, t in zip(states, new_tokens)]

@@ -73,7 +73,7 @@ class PiipModel:
         self.branches = [Branch(i + 1, spec) for i, spec in enumerate(cfg.branches)]
         depth = cfg.branches[0].depth
         self.positions = interaction_positions(depth, cfg.interactions.count)
-        dims = {i + 1: spec.dim for i, spec in enumerate(cfg.branches)}
+        dims = [spec.dim for spec in cfg.branches]
         self.interaction_points = [  # one list of directions per point
             build_interaction_directions(p + 1, dims, cfg.interactions)
             for p in range(len(self.positions))
@@ -203,7 +203,10 @@ class PiipModel:
         np.savez(path, **self.params)
 
     def load_weights(self, path: str) -> None:
-        with np.load(path) as data:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError(f"{path} is not an .npz archive of named weights")
+        with data:
             names = set(data.files)
             expected = set(self.param_spec.decls)
             missing = expected - names
@@ -215,7 +218,10 @@ class PiipModel:
                 )
             loaded = {}
             for name in self.param_spec.decls:
-                arr = np.asarray(data[name], dtype=np.float64)
+                arr = data[name]
+                if arr.dtype.kind not in "iuf":
+                    raise ValueError(f"weight {name!r} has dtype {arr.dtype}, expected int or float")
+                arr = arr.astype(np.float64, copy=False)
                 want = self.param_spec.decls[name].shape
                 if arr.shape != want:
                     raise ValueError(f"weight {name!r} has shape {arr.shape}, expected {want}")

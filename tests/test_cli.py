@@ -1,10 +1,15 @@
 """End-to-end CLI behavior through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import variants
 
+import piip
 from piip import explorer, harness
 from piip.cli import main
 from piip.config import preset, render_config
@@ -24,6 +29,19 @@ def test_cost_table(capsys):
     assert "branch1" in out
     assert "91,770" in out
     assert out.endswith("\n")
+
+
+def test_python_dash_m_entry_point_prints_what_main_prints(capsys):
+    assert main(["cost", "piip-tiny-test"]) == 0
+    want = capsys.readouterr().out
+    src = str(Path(piip.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "piip.cli", "cost", "piip-tiny-test"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == want
 
 
 def test_cost_json(capsys):

@@ -60,6 +60,8 @@ def test_tiny_params_match_hand_ledger():
     assert entry(report, "interactions").params == 14_068
     assert entry(report, "merging").params == 702
     assert report.total_params == 91_770
+    with pytest.raises(KeyError, match="no cost entry named 'branch4'"):
+        report.entry("branch4")
 
 
 def test_tiny_flops_match_hand_ledger():

@@ -5,7 +5,7 @@ import pytest
 
 from piip import harness
 from piip.branches import FeatureMap
-from piip.config import preset
+from piip.config import BranchSpec, InteractionSchedule, MergeMode, PyramidConfig, preset
 from piip.model import PiipModel
 
 TINY = preset("piip-tiny-test")
@@ -138,6 +138,17 @@ def test_make_dataset_deterministic():
     for img in images_a:
         bright = (img > 0.5).any(axis=2).sum()
         assert 0 < bright <= task.glyph_size**2
+
+
+def test_make_dataset_rejects_a_glyph_larger_than_its_canvas():
+    cfg = PyramidConfig(
+        (BranchSpec(1, 8, 1, 2, 2),), InteractionSchedule(), MergeMode.CLASSIFICATION
+    )
+    task = harness.task_for(cfg)  # a 2-px canvas, 4-px glyphs
+    with pytest.raises(ValueError, match="4-px glyph does not fit a 2-px canvas"):
+        harness.make_dataset(task, 4)
+    with pytest.raises(ValueError, match="4-px glyph does not fit a 2-px canvas"):
+        harness.train_toy(cfg, steps=1, n_samples=4, batch_size=4)
 
 
 def test_make_dataset_empty():

@@ -1,6 +1,7 @@
 """Interaction directions: gating, deformable attention behavior, simultaneity."""
 
 import numpy as np
+import scalar_oracles as ref
 
 from piip import autodiff as ad
 from piip.branches import FeatureMap
@@ -26,7 +27,7 @@ def make_states(dims=(16, 8), grids=((2, 2), (4, 4))):
 
 
 def build_point(schedule, dims=(16, 8), grids=((2, 2), (4, 4)), seed=0):
-    directions = build_interaction_directions(1, {i + 1: d for i, d in enumerate(dims)}, schedule)
+    directions = build_interaction_directions(1, list(dims), schedule)
     ps = ParamSpec()
     for d in directions:
         d.declare(ps)
@@ -189,29 +190,44 @@ def test_regular_impl_attends_densely():
 
 
 def test_direction_forward_matches_gate_composition():
-    # F-hat = F + gamma * attn(...); F-tilde = F-hat + tau * ffn(F-hat)
+    # update = gamma * A + tau * FFN(LN(F-hat)), F-hat = F + gamma * A, where
+    # A = attn(LN(F), LN(fc(src))); LN, linear and GELU come from the scalar oracles
     sched = InteractionSchedule(count=1, directions=((2, 1),))
     directions, P, states = build_point(sched)
-    gamma = RNG.standard_normal(16) * 0.1
-    tau = RNG.standard_normal(16) * 0.1
-    pre = "interaction1.pair1_2.to1"
-    P[f"{pre}.gamma"] = ad.leaf(gamma)
-    P[f"{pre}.tau"] = ad.leaf(np.zeros(16))
     (direction,) = directions
-    half = direction.forward(P, states[0], states[1]).value
-    attn_term = (half - states[0].tokens.value) / gamma  # recover raw attention
+    pre = "interaction1.pair1_2.to1"
+    for name in list(P):  # every norm, bias and gate non-trivial; gamma and tau differ
+        if name.startswith(pre) and not name.endswith("_w"):
+            P[name] = ad.leaf(P[name].value + RNG.standard_normal(P[name].shape) * 0.1)
+    p = {name[len(pre) + 1 :]: v.value for name, v in P.items()}
+    dst, src = states[0], states[1]
+    F = dst.tokens.value
 
-    P[f"{pre}.tau"] = ad.leaf(tau)
-    full = direction.forward(P, states[0], states[1]).value
-    ffn_term = (full - half) / tau
-    # reapplying the algebra: full == F + gamma*attn + tau*ffn(F-hat)
-    recon = states[0].tokens.value + gamma * attn_term + tau * ffn_term
-    np.testing.assert_allclose(full, recon, atol=1e-10)
+    def ln(x, which):
+        return np.array(ref.layer_norm_ref(x, p[f"{which}_g"], p[f"{which}_b"]))
+
+    def linear(x, which):
+        return np.array(ref.linear_ref(x, p[f"{which}_w"], p[f"{which}_b"]))
+
+    qn = ln(F, "qln")
+    vn = ln(linear(src.tokens.value, "fc"), "vln")
+    grids = (dst.grid_h, dst.grid_w), (src.grid_h, src.grid_w)
+    attn = direction.attn.forward(P, ad.leaf(qn), grids[0], ad.leaf(vn), grids[1]).value
+    f_hat = F + p["gamma"] * attn
+    hidden = linear(ln(f_hat, "fln"), "ffn1")
+    hidden = np.array(ref.gelu_ref(hidden)).reshape(hidden.shape)
+    want = p["gamma"] * attn + p["tau"] * linear(hidden, "ffn2")
+
+    got = direction.forward(P, dst, src).value
+    np.testing.assert_allclose(got, want, atol=1e-10)
+    applied = apply_interaction_point(P, states, directions)
+    np.testing.assert_allclose(applied[0].tokens.value, F + want, atol=1e-10)
+    assert applied[1].tokens is src.tokens
 
 
 def test_interaction_directions_sorted_by_pair():
     sched = InteractionSchedule(count=1, directions=((3, 2), (1, 2), (2, 3)))
-    directions = build_interaction_directions(4, {1: 16, 2: 12, 3: 8}, sched)
+    directions = build_interaction_directions(4, [16, 12, 8], sched)
     # pairs ascending, and lo -> hi before hi -> lo within a pair
     assert [(d.src, d.dst) for d in directions] == [(1, 2), (2, 3), (3, 2)]
     names = ParamSpec()

@@ -158,6 +158,28 @@ def test_load_rejects_bad_containers(tmp_path):
     with pytest.raises(ValueError, match="head1.w"):
         PiipModel(TINY).load_weights(shape_path)
 
+    # a complex or string tensor is rejected, not cast; int and float load as float64
+    for value, dtype in ((1 + 2j, "complex128"), ("1.0", "<U3")):
+        bad_dtype = dict(model.params)
+        bad_dtype["head1.ln_g"] = np.full(model.params["head1.ln_g"].shape, value)
+        dtype_path = str(tmp_path / "dtype.npz")
+        np.savez(dtype_path, **bad_dtype)
+        with pytest.raises(ValueError, match=f"'head1.ln_g' has dtype {dtype}"):
+            PiipModel(TINY).load_weights(dtype_path)
+    as_int = dict(model.params)
+    as_int["head1.ln_g"] = np.full(model.params["head1.ln_g"].shape, 2, dtype=np.int32)
+    int_path = str(tmp_path / "int.npz")
+    np.savez(int_path, **as_int)
+    loaded = PiipModel(TINY)
+    loaded.load_weights(int_path)
+    assert loaded.params["head1.ln_g"].dtype == np.float64
+    assert (loaded.params["head1.ln_g"] == 2.0).all()
+
+    npy_path = str(tmp_path / "one.npy")
+    np.save(npy_path, model.params["head1.w"])
+    with pytest.raises(ValueError, match="not an .npz archive"):
+        PiipModel(TINY).load_weights(npy_path)
+
 
 def test_load_rejects_non_finite_weights(tmp_path):
     model = PiipModel(TINY)
