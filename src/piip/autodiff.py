@@ -64,10 +64,6 @@ def leaf(value: Array, needs_grad: bool = False) -> Var:
     return Var(value, needs_grad=needs_grad)
 
 
-def as_var(x: "Var | Array | float") -> Var:
-    return x if isinstance(x, Var) else Var(np.asarray(x, dtype=np.float64))
-
-
 def backward(root: Var) -> None:
     """Accumulate gradients of a scalar ``root`` into every needs-grad leaf.
 
@@ -129,7 +125,6 @@ def _rows(a: Array) -> Array:
 
 
 def add(a: Var, b: Var) -> Var:
-    a, b = as_var(a), as_var(b)
     return Var(
         a.value + b.value,
         (a, b),
@@ -138,7 +133,6 @@ def add(a: Var, b: Var) -> Var:
 
 
 def mul(a: Var, b: Var) -> Var:
-    a, b = as_var(a), as_var(b)
     return Var(
         a.value * b.value,
         (a, b),
@@ -235,25 +229,18 @@ def crop_grid(a: Var, out_h: int, out_w: int) -> Var:
     return Var(a.value[..., :out_h, :out_w, :], (a,), vjp)
 
 
-def _axes(axis: int | tuple[int, ...], ndim: int) -> tuple[int, ...]:
-    return tuple(ax % ndim for ax in ((axis,) if isinstance(axis, int) else axis))
-
-
-def sum_op(a: Var, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Var:
+def sum_op(a: Var, axis: int | None = None) -> Var:
     def vjp(g: Array) -> tuple[Array]:
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, _axes(axis, a.value.ndim))
+        if axis is not None:
+            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
-    return Var(a.value.sum(axis=axis, keepdims=keepdims), (a,), vjp)
+    return Var(a.value.sum(axis=axis), (a,), vjp)
 
 
-def mean_op(a: Var, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Var:
-    if axis is None:
-        n = a.value.size
-    else:
-        n = int(np.prod([a.shape[ax] for ax in _axes(axis, a.value.ndim)]))
-    return scale(sum_op(a, axis=axis, keepdims=keepdims), 1.0 / n)
+def mean_op(a: Var, axis: int | None = None) -> Var:
+    n = a.value.size if axis is None else a.shape[axis]
+    return scale(sum_op(a, axis=axis), 1.0 / n)
 
 
 def weighted_sum_op(x: Var, w: Var) -> Var:
@@ -313,7 +300,10 @@ def gelu_op(a: Var) -> Var:
     return Var(out, (a,), vjp)
 
 
-def _standardize(x: Array, axes: tuple[int, ...], eps: float) -> tuple[Array, Array, Array]:
+NORM_EPS = 1e-6  # added to the variance of LayerNorm and GroupNorm
+
+
+def _standardize(x: Array, axes: tuple[int, ...]) -> tuple[Array, Array, Array]:
     """``(x - mu) / s`` over ``axes`` with biased variance, in one new buffer.
 
     Returns (xhat, mu, s), the statistics kept with their reduced axes.
@@ -323,7 +313,7 @@ def _standardize(x: Array, axes: tuple[int, ...], eps: float) -> tuple[Array, Ar
     mu = np.add.reduce(x, axis=axes, keepdims=True) / n
     out = x - mu
     var = np.add.reduce(out * out, axis=axes, keepdims=True) / n
-    s = np.sqrt(var + eps)
+    s = np.sqrt(var + NORM_EPS)
     out /= s
     return out, mu, s
 
@@ -348,8 +338,8 @@ def _norm_vjp(
     return out
 
 
-def layer_norm_op(x: Var, gain: Var, shift: Var, eps: float = 1e-6) -> Var:
-    xhat, _, s = _standardize(x.value, (-1,), eps)
+def layer_norm_op(x: Var, gain: Var, shift: Var) -> Var:
+    xhat, _, s = _standardize(x.value, (-1,))
     # the vjp reuses xhat; a node that keeps no vjp finishes in its buffer
     keep = x.needs_grad or gain.needs_grad or shift.needs_grad
     out = xhat * gain.value if keep else np.multiply(xhat, gain.value, out=xhat)
@@ -366,13 +356,13 @@ def layer_norm_op(x: Var, gain: Var, shift: Var, eps: float = 1e-6) -> Var:
 _GROUP_AXES = (-4, -3, -1)
 
 
-def group_norm_op(x: Var, groups: int, gain: Var, shift: Var, eps: float = 1e-6) -> Var:
+def group_norm_op(x: Var, groups: int, gain: Var, shift: Var) -> Var:
     """GroupNorm of [..., H, W, C] maps (statistics per map and group over H, W, C/G)."""
     xv = x.value
     h, w, c = xv.shape[-3:]
     gshape = xv.shape[:-1] + (groups, c // groups)
     red = _GROUP_AXES
-    out, mu, s = _standardize(xv.reshape(gshape), red, eps)
+    out, mu, s = _standardize(xv.reshape(gshape), red)
     out = out.reshape(xv.shape)
     out *= gain.value
     out += shift.value
@@ -454,36 +444,31 @@ def _col2im(
     return dpad[..., padding : padding + h, padding : padding + w, :]
 
 
-def conv2d_op(
-    x: Var, kernel: Var, bias: Var | None, stride: int = 1, padding: int = 0
-) -> Var:
+def conv2d_op(x: Var, kernel: Var, bias: Var, stride: int = 1, padding: int = 0) -> Var:
     """Cross-correlate [..., H, W, Cin] maps with a [kh, kw, Cin, Cout] kernel."""
     kh, kw, cin, cout = kernel.shape
     if cin != x.shape[-1]:
         raise ValueError(f"conv2d: kernel expects {cin} input channels, map has {x.shape[-1]}")
     cols, out_h, out_w = _im2col(x.value, kh, kw, stride, padding)
     out = cols @ kernel.value.reshape(kh * kw * cin, cout)  # [..., out_h*out_w, Cout]
-    if bias is not None:
-        out += bias.value
+    out += bias.value
     out = out.reshape(*x.shape[:-3], out_h, out_w, cout)
 
     def vjp(g: Array) -> tuple[Array | None, Array | None, Array | None]:
         gf = g.reshape(-1, cout)
-        dx = dkernel = db = None
+        dx = dkernel = None
         if kernel.needs_grad:  # im2col is recomputed rather than kept on the tape
             cols = _im2col(x.value, kh, kw, stride, padding)[0]
             dkernel = (_rows(cols).T @ gf).reshape(kernel.shape)
         if x.needs_grad:
             dcols = gf @ kernel.value.reshape(kh * kw * cin, cout).T
             dx = _col2im(dcols, x.shape, kh, kw, stride, padding)
-        if bias is not None and bias.needs_grad:
-            db = gf.sum(axis=0)
-        return dx, dkernel, db
+        return dx, dkernel, gf.sum(axis=0) if bias.needs_grad else None
 
-    return Var(out, (x, kernel) if bias is None else (x, kernel, bias), vjp)
+    return Var(out, (x, kernel, bias), vjp)
 
 
-def depthwise_conv_op(x: Var, kernel: Var, bias: Var | None = None) -> Var:
+def depthwise_conv_op(x: Var, kernel: Var, bias: Var) -> Var:
     """Per-channel convolution of [..., H, W, C] maps with a [kh, kw, C] kernel.
 
     Same-size output: stride 1, padding kh // 2.
@@ -495,24 +480,21 @@ def depthwise_conv_op(x: Var, kernel: Var, bias: Var | None = None) -> Var:
     cols, out_h, out_w = _im2col(x.value, kh, kw, 1, pad)
     cols = cols.reshape(*cols.shape[:-1], kh * kw, c)
     out = np.einsum("...nkc,kc->...nc", cols, kernel.value.reshape(kh * kw, c))
-    if bias is not None:
-        out += bias.value
+    out += bias.value
     out = out.reshape(*x.shape[:-3], out_h, out_w, c)
 
     def vjp(g: Array) -> tuple[Array | None, Array | None, Array | None]:
         gf = g.reshape(-1, c)  # every output position of every map
-        dx = dkernel = db = None
+        dx = dkernel = None
         if kernel.needs_grad:
             cols = _im2col(x.value, kh, kw, 1, pad)[0].reshape(-1, kh * kw, c)
             dkernel = np.einsum("nkc,nc->kc", cols, gf).reshape(kernel.shape)
         if x.needs_grad:
             dcols = np.einsum("kc,nc->nkc", kernel.value.reshape(kh * kw, c), gf)
             dx = _col2im(dcols, x.shape, kh, kw, 1, pad)
-        if bias is not None and bias.needs_grad:
-            db = gf.sum(axis=0)
-        return dx, dkernel, db
+        return dx, dkernel, gf.sum(axis=0) if bias.needs_grad else None
 
-    return Var(out, (x, kernel) if bias is None else (x, kernel, bias), vjp)
+    return Var(out, (x, kernel, bias), vjp)
 
 
 def _lerp_taps(n_out: int, n_in: int) -> tuple[Array, Array, Array]:

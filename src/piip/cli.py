@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on validation/config errors, 2 on I/O errors.
-``PIIP_SEED`` in the environment overrides the seed of the configs that
-commands build models from; costs never depend on a seed.
+``PIIP_SEED`` in the environment overrides the config seed of
+``train-toy``, the one command that builds a model from a loaded config;
+the other commands ignore it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from .config import PyramidConfig, PRESET_NAMES
 from .costmodel import cost_report
 
 
-def _load(name_or_path: str) -> PyramidConfig:
+def _load_seeded(name_or_path: str) -> PyramidConfig:
+    """A preset or config file, its seed replaced by ``PIIP_SEED`` when that is set."""
     cfg = explorer.resolve_base(name_or_path)
     seed = os.environ.get("PIIP_SEED")
     if seed is not None:
@@ -30,7 +32,7 @@ def _load(name_or_path: str) -> PyramidConfig:
 
 
 def _cmd_cost(args: argparse.Namespace) -> int:
-    report = cost_report(_load(args.config))
+    report = cost_report(explorer.resolve_base(args.config))
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
     else:
@@ -63,7 +65,7 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
 
 def _cmd_train_toy(args: argparse.Namespace) -> int:
     _, metrics = harness.train_toy(
-        _load(args.config),
+        _load_seeded(args.config),
         steps=args.steps,
         n_samples=args.samples,
         batch_size=args.batch,

@@ -209,12 +209,17 @@ class NaNCellError(ValueError):
 
 
 def numeric_column(rows: list[Row], col: str) -> list[float]:
-    """One column of a table as floats; a missing or NaN cell names its row."""
+    """One column of a table as floats; a missing, non-numeric or NaN cell names its row."""
     values = []
     for i, row in enumerate(rows):
         if col not in row:
             raise ValueError(f"column {col!r} missing from table row {i}")
-        value = float(row[col])  # type: ignore[arg-type]
+        try:
+            value = float(row[col])  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"column {col!r} is not a number in table row {i}: {row[col]!r}"
+            ) from None
         if math.isnan(value):
             raise NaNCellError(f"column {col!r} is NaN in table row {i}")
         values.append(value)

@@ -264,16 +264,15 @@ def randomize_gates(model: PiipModel, rng: np.random.Generator, scale: float = 0
             model.params[name] = rng.standard_normal(value.shape) * scale
 
 
+FD_COORDS = 200  # coordinates per model gradient check
+
+
 def model_gradient_check(
-    model: PiipModel,
-    image: np.ndarray,
-    loss_fn,
-    rng: np.random.Generator,
-    total: int = 200,
+    model: PiipModel, image: np.ndarray, loss_fn, rng: np.random.Generator
 ) -> list[FdRecord]:
-    """FD-check ``total`` coordinates of a model, covering every family."""
+    """FD-check ``FD_COORDS`` coordinates of a model, covering every family."""
     _, analytic = model.parameter_gradients(image, loss_fn)
-    coords = sample_family_coords(model.params, rng, total)
+    coords = sample_family_coords(model.params, rng, FD_COORDS)
 
     def value_fn() -> float:
         graph = model.graph_forward(image, model._wrap(needs_grad=False))
@@ -507,7 +506,7 @@ def check_zero_gate_identity() -> Verdict:
     for _ in range(10):
         image = rng.random((model.input_resolution,) * 2 + (3,))
         graph = model.graph_forward(image, P)
-        img_var = ad.as_var(image)
+        img_var = ad.leaf(image)
         identical += all(
             np.array_equal(
                 branch.segment(P, branch.embed_forward(P, img_var), 0, depth).tokens.value,
@@ -565,7 +564,7 @@ def check_fd_gradients() -> Verdict:
     def loss_fn(graph):
         return ad.cross_entropy_op(graph.logits, 3)
 
-    records = model_gradient_check(model, image, loss_fn, rng, total=200)
+    records = model_gradient_check(model, image, loss_fn, rng)
     worst = max(r.rel_err for r in records)
     max_abs = max(abs(r.analytic - r.numeric) for r in records)
 
@@ -577,7 +576,7 @@ def check_fd_gradients() -> Verdict:
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-4 and checked == present and elapsed < 300.0
     detail = (
-        f"200 coords over {len(checked)}/{len(present)} families, "
+        f"{FD_COORDS} coords over {len(checked)}/{len(present)} families, "
         f"max |analytic-numeric| {max_abs:.1e}, max rel err {worst:.1e}, {elapsed:.1f}s"
     )
     return Verdict("finite-difference gradient check", ok, detail)
@@ -641,13 +640,13 @@ CHECKS = (
 )
 
 
-def run_verification(report=print) -> int:
-    """Run every check in ``CHECKS``, one line each; returns the number of failures."""
+def run_verification() -> int:
+    """Print every check in ``CHECKS``, one line each; returns the number of failures."""
     failures = 0
     for check in CHECKS:
         verdict = check()
         failures += not verdict.ok
-        report(f"{'PASS' if verdict.ok else 'FAIL'}  {verdict.name}  [{verdict.detail}]")
-    report(f"{'OK' if failures == 0 else 'FAILED'}: "
-           f"{len(CHECKS) - failures}/{len(CHECKS)} verification checks passed")
+        print(f"{'PASS' if verdict.ok else 'FAIL'}  {verdict.name}  [{verdict.detail}]")
+    print(f"{'OK' if failures == 0 else 'FAILED'}: "
+          f"{len(CHECKS) - failures}/{len(CHECKS)} verification checks passed")
     return failures

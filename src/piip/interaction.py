@@ -95,8 +95,8 @@ class DeformableCrossAttention:
         # Sampling locations: query-grid token centers plus offsets measured in
         # value-grid cells, all in normalized [0, 1]^2 coordinates.
         ref = reference_points(*q_grid)  # [Nq, 2]
-        ref_b = ad.as_var(ref.reshape(nq, 1, 2))
-        inv = ad.as_var(np.array([1.0 / gvw, 1.0 / gvh]))
+        ref_b = ad.leaf(ref.reshape(nq, 1, 2))
+        inv = ad.leaf(np.array([1.0 / gvw, 1.0 / gvh]))
         locs = ad.add(ref_b, ad.mul(off, inv))  # [..., m, Nq, k, 2]
 
         pts = ad.reshape(locs, lead + (m, nq * k, 2))

@@ -49,7 +49,8 @@ def classification_labels(cfg: PyramidConfig, caller: str, n_images: int = 0, la
     """The batch rule of training and scoring; returns ``labels`` as int64.
 
     ``cfg`` must be in classification mode (all that is checked without
-    ``labels``), and a batch of ``n_images`` >= 1 needs one label per image.
+    ``labels``), and a batch of ``n_images`` >= 1 needs one label per image,
+    each an integral value in ``[0, cfg.classes)``.
     """
     if cfg.merge_mode is not MergeMode.CLASSIFICATION:
         raise ValueError(
@@ -57,13 +58,20 @@ def classification_labels(cfg: PyramidConfig, caller: str, n_images: int = 0, la
         )
     if labels is None:
         return None
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if n_images == 0 or labels.shape != (n_images,):
         raise ValueError(
             f"{caller} needs a non-empty batch and one label per image, got "
             f"{n_images} images and labels of shape {labels.shape}"
         )
-    return labels
+    if labels.dtype.kind not in "biuf":
+        raise ValueError(f"{caller} needs numeric labels, got dtype {labels.dtype}")
+    bad = (labels != np.floor(labels)) | (labels < 0) | (labels >= cfg.classes)
+    if bad.any():
+        raise ValueError(
+            f"{caller} needs integer labels in [0, {cfg.classes}), got {labels[bad][0].item()!r}"
+        )
+    return labels.astype(np.int64)
 
 
 class PiipModel:
@@ -108,7 +116,10 @@ class PiipModel:
     # -- forward -----------------------------------------------------------
 
     def _check_image(self, image: np.ndarray) -> np.ndarray:
-        image = np.asarray(image, dtype=np.float64)
+        image = np.asarray(image)
+        if image.dtype.kind not in "biuf":
+            raise ValueError(f"input image has dtype {image.dtype}, expected bool, int or float")
+        image = image.astype(np.float64, copy=False)
         r = self.input_resolution
         if image.ndim not in (3, 4) or image.shape[-3:] != (r, r, 3):
             raise ValueError(
@@ -124,7 +135,7 @@ class PiipModel:
 
         Every output carries the batch axis when the input does.
         """
-        img_var = ad.as_var(self._check_image(image))
+        img_var = ad.leaf(self._check_image(image))
         states = [branch.embed_forward(P, img_var) for branch in self.branches]
         cursor = 0
         # the last interaction point follows the final block; without one, a single stop there

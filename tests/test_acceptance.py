@@ -155,9 +155,11 @@ def test_criterion_09_kernel_oracles(criterion):
     t0 = time.perf_counter()
     rng = np.random.default_rng(31_337)
     worst = {}
+    row_sum_err = 0.0  # softmax rows must sum to 1
 
     def gap(name, got, want):
-        err = float(np.abs(np.asarray(got) - np.asarray(want)).max())
+        got, want = np.asarray(got), np.asarray(want)
+        err = float(np.abs(got - want).max()) if got.shape == want.shape else np.inf
         worst[name] = max(worst.get(name, 0.0), err)
 
     for _ in range(100):
@@ -167,18 +169,22 @@ def test_criterion_09_kernel_oracles(criterion):
         x = rng.standard_normal((n, din))
         w = rng.standard_normal((din, dout))
         b = rng.standard_normal(dout)
-        gap("linear", ad.matmul(ad.as_var(x), ad.as_var(w), ad.as_var(b)).value,
+        gap("linear", ad.matmul(ad.leaf(x), ad.leaf(w), ad.leaf(b)).value,
             ref.linear_ref(x, w, b))
 
         g = rng.standard_normal(din)
         bb = rng.standard_normal(din)
-        gap("layer_norm", ad.layer_norm_op(ad.as_var(x), ad.as_var(g), ad.as_var(bb)).value,
-            ref.layer_norm_ref(x, g, bb))
-        gap("softmax", ad.softmax_op(ad.as_var(x)).value, ref.softmax_ref(x))
+        xs = x * rng.uniform(0.1, 10)
+        gap("layer_norm", ad.layer_norm_op(ad.leaf(xs), ad.leaf(g), ad.leaf(bb)).value,
+            ref.layer_norm_ref(xs, g, bb))
+        logits = x * rng.uniform(0.5, 30)
+        probs = ad.softmax_op(ad.leaf(logits)).value
+        gap("softmax", probs, ref.softmax_ref(logits))
+        row_sum_err = max(row_sum_err, float(np.abs(probs.sum(axis=-1) - 1.0).max()))
         vec = rng.standard_normal(int(rng.integers(1, 40))) * 3
-        gap("gelu", ad.gelu_op(ad.as_var(vec)).value, ref.gelu_ref(vec))
+        gap("gelu", ad.gelu_op(ad.leaf(vec)).value, ref.gelu_ref(vec))
 
-        h, wd = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        h, wd = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         groups = int(rng.integers(1, 4))
         c = groups * int(rng.integers(1, 4))
         grid = rng.standard_normal((h, wd, c))
@@ -186,20 +192,20 @@ def test_criterion_09_kernel_oracles(criterion):
         gb = rng.standard_normal(c)
         gap(
             "group_norm",
-            ad.group_norm_op(ad.as_var(grid), groups, ad.as_var(gg), ad.as_var(gb)).value,
+            ad.group_norm_op(ad.leaf(grid), groups, ad.leaf(gg), ad.leaf(gb)).value,
             ref.group_norm_ref(grid, groups, gg, gb),
         )
 
         oh, ow = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         gap(
             "bilinear_resize",
-            ad.bilinear_resize_op(ad.as_var(grid), oh, ow).value,
+            ad.bilinear_resize_op(ad.leaf(grid), oh, ow).value,
             ref.bilinear_resize_ref(grid, oh, ow),
         )
         pts = rng.uniform(-0.5, 1.5, (int(rng.integers(1, 12)), 2))
         gap(
             "bilinear_sample",
-            ad.bilinear_sample_op(ad.as_var(grid), ad.as_var(pts)).value,
+            ad.bilinear_sample_op(ad.leaf(grid), ad.leaf(pts)).value,
             ref.bilinear_sample_ref(grid, pts),
         )
 
@@ -213,22 +219,35 @@ def test_criterion_09_kernel_oracles(criterion):
         cb = rng.standard_normal(cout)
         gap(
             "conv2d",
-            ad.conv2d_op(ad.as_var(cx), ad.as_var(ck), ad.as_var(cb), stride, pad).value,
+            ad.conv2d_op(ad.leaf(cx), ad.leaf(ck), ad.leaf(cb), stride, pad).value,
             ref.conv2d_ref(cx, ck, cb, stride, pad),
         )
+        # the patch-embedding layout: an RGB image in whole 2- or 4-px patches
+        p = int(rng.choice([2, 4]))
+        px = rng.standard_normal((int(rng.integers(1, 4)) * p, int(rng.integers(1, 4)) * p, 3))
+        pk = rng.standard_normal((p, p, 3, cout))
+        gap(
+            "conv2d",
+            ad.conv2d_op(ad.leaf(px), ad.leaf(pk), ad.leaf(cb), p).value,
+            ref.conv2d_ref(px, pk, cb, p, 0),
+        )
 
-        dk = rng.standard_normal((3, 3, c))
+        dh = int(rng.choice([3, 5, 7]))
+        dk = rng.standard_normal((dh, dh, c))
         db = rng.standard_normal(c)
         gap(
             "depthwise_conv",
-            ad.depthwise_conv_op(ad.as_var(grid), ad.as_var(dk), ad.as_var(db)).value,
+            ad.depthwise_conv_op(ad.leaf(grid), ad.leaf(dk), ad.leaf(db)).value,
             ref.depthwise_conv_ref(grid, dk, db),
         )
 
     elapsed = time.perf_counter() - t0
     worst_err = max(worst.values())
-    ok = len(worst) == 9 and worst_err <= 1e-9 and elapsed < 120.0
-    detail = f"{len(worst)} kernels x 100 cases, max |Δ| {worst_err:.1e}, {elapsed:.1f}s"
+    ok = len(worst) == 9 and worst_err <= 1e-9 and row_sum_err <= 1e-12 and elapsed < 120.0
+    detail = (
+        f"{len(worst)} kernels x 100 cases, max |Δ| {worst_err:.1e}, "
+        f"softmax row sums off by {row_sum_err:.0e}, {elapsed:.1f}s"
+    )
     assert criterion(9, "numeric kernels match scalar oracles", ok, detail)
 
 

@@ -147,6 +147,16 @@ def test_pareto_rejects_extra_cells(tmp_path, capsys):
     assert "line 2 has 4 cells" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["abc", ""], ids=["abc", "empty"])
+def test_pareto_names_a_non_numeric_cell(tmp_path, capsys, cell):
+    table = tmp_path / "measured.csv"
+    table.write_text(f"config_id,flops,acc\nr16,100,0.5\nr32,{cell},0.9\n")
+    assert main(["pareto", str(table)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: column 'flops' is not a number in table row 1: {cell!r}\n"
+    )
+
+
 def test_train_toy_writes_metrics(tmp_path, capsys):
     out = tmp_path / "metrics.csv"
     rc = main([
@@ -213,9 +223,24 @@ def test_piip_seed_env_must_be_an_integer(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_piip_seed_env_is_ignored_by_cost(capsys, monkeypatch):
+    # costs never depend on a seed, so only train-toy reads the variable
+    monkeypatch.setenv("PIIP_SEED", "abc")
+    assert main(["cost", "piip-tiny-test", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["total_params"] == 91_770
+
+
 def test_verify_subcommand(monkeypatch, capsys):
-    verdicts = [harness.Verdict("stub pass", True, "a"), harness.Verdict("stub fail", False, "b")]
-    monkeypatch.setattr(harness, "CHECKS", tuple((lambda v=v: v) for v in verdicts))
+    passing = harness.Verdict("stub pass", True, "a")
+    failing = harness.Verdict("stub fail", False, "b")
+    monkeypatch.setattr(harness, "CHECKS", (lambda: passing, lambda: passing))
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS  stub pass  [a]",
+        "PASS  stub pass  [a]",
+        "OK: 2/2 verification checks passed",
+    ]
+    monkeypatch.setattr(harness, "CHECKS", (lambda: passing, lambda: failing))
     assert main(["verify"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "PASS  stub pass  [a]",

@@ -49,13 +49,6 @@ def test_parse_minimal():
     assert cfg.merge_mode is cf.MergeMode.CLASSIFICATION
 
 
-@pytest.mark.parametrize("name", cf.PRESET_NAMES)
-def test_presets_validate_and_round_trip(name):
-    cfg = cf.preset(name)
-    cf.validate(cfg)
-    assert cf.parse_config(cf.render_config(cfg)) == cfg
-
-
 def test_round_trip_is_exact_for_odd_floats():
     cfg = cf.parse_config(MINIMAL)
     branches = (

@@ -69,6 +69,16 @@ def test_pareto_nan_cells_raise_in_both_paths(column, row):
             path(rows, "flops", "acc")
 
 
+@pytest.mark.parametrize("cell", ["abc", "", [32, 64]], ids=["abc", "empty", "resolution-list"])
+def test_pareto_non_numeric_cells_raise_in_both_paths(cell):
+    # used to raise float()'s own error, which names neither column nor row
+    rows = [{"flops": 1.0, "acc": 0.3}, {"flops": cell, "acc": 0.5}]
+    for path in (explorer.pareto_front, harness.pareto_oracle):
+        message = f"'flops' is not a number in table row 1: {cell!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            path(rows, "flops", "acc")
+
+
 def test_pareto_missing_column():
     rows = [{"flops": 1.0}]
     with pytest.raises(ValueError, match="'acc'"):

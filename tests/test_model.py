@@ -96,6 +96,23 @@ def test_input_shape_validation():
         model.forward(np.zeros((1, 2, 64, 64, 3)))
 
 
+def test_image_needs_a_real_dtype():
+    # a complex image ran on its real part with only a ComplexWarning
+    model = PiipModel(TINY)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for image, dtype in [
+            (np.zeros((64, 64, 3)) + 1j, "complex128"),
+            (np.full((64, 64, 3), "0.5"), "<U3"),
+            (np.full((64, 64, 3), None), "object"),
+        ]:
+            with pytest.raises(ValueError, match=f"input image has dtype {dtype},"):
+                model.forward(image)
+    ones = model.forward(np.ones((64, 64, 3))).logits
+    for dtype in (bool, np.uint8, int):
+        assert np.array_equal(model.forward(np.ones((64, 64, 3), dtype)).logits, ones)
+
+
 def test_forward_without_materialized_parameters_raises():
     model = PiipModel(TINY, materialize=False)
     with pytest.raises(RuntimeError, match="model was built without materialized parameters"):
@@ -206,18 +223,28 @@ def test_train_step_with_zero_lr_keeps_params():
 
 
 @pytest.mark.parametrize(
-    "n_images, labels",
-    [(0, []), (2, [0]), (2, [0, 1, 2])],
-    ids=["empty", "one-label-for-two", "three-labels-for-two"],
+    "n_images, labels, message",
+    [
+        (0, [], "one label per image"),
+        (2, [0], "one label per image"),
+        (2, [0, 1, 2], "one label per image"),
+        (2, [1, -1], "train_step needs integer labels in [0, 10), got -1"),
+        (2, [1, 10], "train_step needs integer labels in [0, 10), got 10"),
+        (2, [1.7, 2.2], "train_step needs integer labels in [0, 10), got 1.7"),
+        (2, ["1", "2"], "train_step needs numeric labels, got dtype <U1"),
+    ],
+    ids=["empty", "one-label-for-two", "three-labels-for-two", "negative-label", "label-10",
+         "fractional-labels", "string-labels"],
 )
-def test_train_step_rejects_empty_or_mislabelled_batch(n_images, labels):
-    # an empty batch used to step AdamW on a NaN loss; one label was broadcast
+def test_train_step_rejects_empty_or_mislabelled_batch(n_images, labels, message):
+    # an empty batch used to step AdamW on a NaN loss; one label was broadcast;
+    # -1 trained on class 9, 10 raised a bare IndexError and 1.7 was cut to 1
     model = PiipModel(TINY)
     snapshot = {name: v.copy() for name, v in model.params.items()}
     r = TINY.branches[-1].resolution
     images = np.zeros((n_images, r, r, 3))
-    with pytest.raises(ValueError, match="one label per image"):
-        model.train_step(images, np.array(labels, dtype=np.int64), AdamW(model.params))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model.train_step(images, np.array(labels), AdamW(model.params))
     for name, v in model.params.items():
         assert np.array_equal(v, snapshot[name])
 

@@ -63,7 +63,7 @@ def taylor_remainders(cfg, seed=0):
         return float(np.vdot(W, output(model.forward(images))))
 
     _, grads = model.parameter_gradients(
-        images, lambda graph: ad.sum_op(ad.mul(output(graph), ad.as_var(W)))
+        images, lambda graph: ad.sum_op(ad.mul(output(graph), ad.leaf(W)))
     )
     v = {name: rng.standard_normal(p.shape) for name, p in model.params.items()}
     slope = sum(float(np.vdot(grads[name], v[name])) for name in v)
