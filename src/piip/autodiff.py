@@ -468,35 +468,6 @@ def conv2d_op(x: Var, kernel: Var, bias: Var, stride: int = 1, padding: int = 0)
     return Var(out, (x, kernel, bias), vjp)
 
 
-def depthwise_conv_op(x: Var, kernel: Var, bias: Var) -> Var:
-    """Per-channel convolution of [..., H, W, C] maps with a [kh, kw, C] kernel.
-
-    Same-size output: stride 1, padding kh // 2.
-    """
-    kh, kw, c = kernel.shape
-    if c != x.shape[-1]:
-        raise ValueError(f"depthwise_conv: kernel has {c} channels, map has {x.shape[-1]}")
-    pad = kh // 2
-    cols, out_h, out_w = _im2col(x.value, kh, kw, 1, pad)
-    cols = cols.reshape(*cols.shape[:-1], kh * kw, c)
-    out = np.einsum("...nkc,kc->...nc", cols, kernel.value.reshape(kh * kw, c))
-    out += bias.value
-    out = out.reshape(*x.shape[:-3], out_h, out_w, c)
-
-    def vjp(g: Array) -> tuple[Array | None, Array | None, Array | None]:
-        gf = g.reshape(-1, c)  # every output position of every map
-        dx = dkernel = None
-        if kernel.needs_grad:
-            cols = _im2col(x.value, kh, kw, 1, pad)[0].reshape(-1, kh * kw, c)
-            dkernel = np.einsum("nkc,nc->kc", cols, gf).reshape(kernel.shape)
-        if x.needs_grad:
-            dcols = np.einsum("kc,nc->nkc", kernel.value.reshape(kh * kw, c), gf)
-            dx = _col2im(dcols, x.shape, kh, kw, 1, pad)
-        return dx, dkernel, gf.sum(axis=0) if bias.needs_grad else None
-
-    return Var(out, (x, kernel, bias), vjp)
-
-
 def _lerp_taps(n_out: int, n_in: int) -> tuple[Array, Array, Array]:
     """1-D taps of a pixel-center-aligned, edge-clamped resize from n_in to n_out.
 

@@ -2,9 +2,7 @@
 
 Transformer branches are standard pre-norm blocks (token + attention, then
 token + MLP); attention is either global over all tokens or windowed over
-non-overlapping square windows. Convolutional branches use depthwise-7x7
-blocks with channel LayerNorm, 4x pointwise expansion and a zero-initialized
-residual scale, so they start as the identity.
+non-overlapping square windows.
 
 A branch forward is exposed in *segments* (block ranges) so interaction
 points can be spliced between blocks; composing segments is exactly
@@ -20,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .config import Arch, AttentionKind, BranchSpec, ffn_hidden, window_side
+from .config import AttentionKind, BranchSpec, ffn_hidden, window_side
 from .params import ParamSpec
 
 Params = dict[str, Var]
@@ -53,7 +51,7 @@ class FeatureMap:
 
 
 class PatchEmbed:
-    """Patchify conv + learned positional embedding (transformer branches)."""
+    """Patchify conv + learned positional embedding."""
 
     def __init__(self, prefix: str, spec: BranchSpec) -> None:
         self.prefix = prefix
@@ -74,30 +72,6 @@ class PatchEmbed:
         )  # [..., gh, gw, D]
         gh, gw = grid.shape[-3:-1]
         grid = ad.add(grid, P[f"{self.prefix}.pos"])
-        return ad.reshape(grid, grid.shape[:-3] + (gh * gw, self.dim)), gh, gw
-
-
-class ConvStem:
-    """Patchify conv + channel LayerNorm (convolutional branches, no pos)."""
-
-    def __init__(self, prefix: str, spec: BranchSpec) -> None:
-        self.prefix = prefix
-        self.patch = spec.patch_size
-        self.dim = spec.dim
-
-    def declare(self, ps: ParamSpec) -> None:
-        p, d = self.patch, self.dim
-        ps.declare(f"{self.prefix}.kernel", (p, p, 3, d))
-        ps.declare(f"{self.prefix}.bias", (d,), 0.0)
-        ps.declare(f"{self.prefix}.ln_g", (d,), 1.0)
-        ps.declare(f"{self.prefix}.ln_b", (d,), 0.0)
-
-    def forward(self, P: Params, image: Var) -> tuple[Var, int, int]:
-        grid = ad.conv2d_op(
-            image, P[f"{self.prefix}.kernel"], P[f"{self.prefix}.bias"], stride=self.patch
-        )
-        gh, gw = grid.shape[-3:-1]
-        grid = ad.layer_norm_op(grid, P[f"{self.prefix}.ln_g"], P[f"{self.prefix}.ln_b"])
         return ad.reshape(grid, grid.shape[:-3] + (gh * gw, self.dim)), gh, gw
 
 
@@ -187,42 +161,6 @@ class TransformerBlock:
         return replace(state, tokens=ad.add(x, m))
 
 
-class ConvBlock:
-    """Depthwise 7x7 -> channel LN -> 4x pointwise MLP, zero-scaled residual."""
-
-    KERNEL = 7
-    EXPAND = 4
-
-    def __init__(self, prefix: str, spec: BranchSpec) -> None:
-        self.prefix = prefix
-        self.dim = spec.dim
-
-    def declare(self, ps: ParamSpec) -> None:
-        d = self.dim
-        pre = self.prefix
-        k = self.KERNEL
-        ps.declare(f"{pre}.dw_k", (k, k, d))
-        ps.declare(f"{pre}.dw_b", (d,), 0.0)
-        ps.declare(f"{pre}.ln_g", (d,), 1.0)
-        ps.declare(f"{pre}.ln_b", (d,), 0.0)
-        ps.declare(f"{pre}.pw1_w", (d, self.EXPAND * d))
-        ps.declare(f"{pre}.pw1_b", (self.EXPAND * d,), 0.0)
-        ps.declare(f"{pre}.pw2_w", (self.EXPAND * d, d))
-        ps.declare(f"{pre}.pw2_b", (d,), 0.0)
-        ps.declare(f"{pre}.scale", (d,), 0.0)
-
-    def forward(self, P: Params, state: FeatureMap) -> FeatureMap:
-        pre = self.prefix
-        x = state.tokens
-        y = ad.depthwise_conv_op(state.as_grid(), P[f"{pre}.dw_k"], P[f"{pre}.dw_b"])
-        y = ad.layer_norm_op(y, P[f"{pre}.ln_g"], P[f"{pre}.ln_b"])
-        y = ad.matmul(y, P[f"{pre}.pw1_w"], P[f"{pre}.pw1_b"])
-        y = ad.gelu_op(y)
-        y = ad.matmul(y, P[f"{pre}.pw2_w"], P[f"{pre}.pw2_b"])
-        y = ad.mul(y, P[f"{pre}.scale"])
-        return replace(state, tokens=ad.add(x, ad.reshape(y, x.shape)))
-
-
 class Branch:
     """One pyramid branch: embedding plus ``depth`` blocks."""
 
@@ -230,14 +168,8 @@ class Branch:
         self.index = index  # 1-based
         self.spec = spec
         prefix = f"branch{index}"
-        if spec.arch is Arch.TRANSFORMER:
-            self.embed: PatchEmbed | ConvStem = PatchEmbed(f"{prefix}.embed", spec)
-            self.blocks: list[TransformerBlock | ConvBlock] = [
-                TransformerBlock(f"{prefix}.block{j + 1}", spec) for j in range(spec.depth)
-            ]
-        else:
-            self.embed = ConvStem(f"{prefix}.embed", spec)
-            self.blocks = [ConvBlock(f"{prefix}.block{j + 1}", spec) for j in range(spec.depth)]
+        self.embed = PatchEmbed(f"{prefix}.embed", spec)
+        self.blocks = [TransformerBlock(f"{prefix}.block{j + 1}", spec) for j in range(spec.depth)]
 
     def declare(self, ps: ParamSpec) -> None:
         self.embed.declare(ps)

@@ -33,7 +33,6 @@ class ValidationError(ConfigError):
 
 class Arch(str, Enum):
     TRANSFORMER = "transformer"
-    CONVNET = "convnet"
 
 
 class AttentionKind(str, Enum):
@@ -180,30 +179,22 @@ def validate(cfg: PyramidConfig) -> PyramidConfig:
             )
         if not 0 < b.mlp_ratio < math.inf:
             raise ValidationError(f"{where}: mlp_ratio must be positive and finite")
-        if b.arch is Arch.TRANSFORMER:
-            if b.heads < 1 or b.dim % b.heads != 0:
+        if b.heads < 1 or b.dim % b.heads != 0:
+            raise ValidationError(f"{where}: dim {b.dim} not divisible by heads {b.heads}")
+        _check_hidden_width(f"{where}: MLP", b.dim, b.mlp_ratio)
+        if b.attention_mode is AttentionKind.WINDOWED:
+            wt = b.window_tokens
+            if wt is None or wt < 1:
+                raise ValidationError(f"{where}: windowed attention needs window_tokens")
+            side, grid = window_side(wt), b.resolution // b.patch_size
+            if side**2 != wt:
+                raise ValidationError(f"{where}: window_tokens {wt} must be a perfect square")
+            if side > grid:
                 raise ValidationError(
-                    f"{where}: dim {b.dim} not divisible by heads {b.heads}"
+                    f"{where}: window side {side} exceeds the token grid side {grid}"
                 )
-            _check_hidden_width(f"{where}: MLP", b.dim, b.mlp_ratio)
-            if b.attention_mode is AttentionKind.WINDOWED:
-                wt = b.window_tokens
-                if wt is None or wt < 1:
-                    raise ValidationError(f"{where}: windowed attention needs window_tokens")
-                side, grid = window_side(wt), b.resolution // b.patch_size
-                if side**2 != wt:
-                    raise ValidationError(
-                        f"{where}: window_tokens {wt} must be a perfect square"
-                    )
-                if side > grid:
-                    raise ValidationError(
-                        f"{where}: window side {side} exceeds the token grid side {grid}"
-                    )
-            elif b.window_tokens is not None:
-                raise ValidationError(f"{where}: window_tokens set but attention is global")
-        else:
-            if b.attention_mode is not AttentionKind.GLOBAL or b.window_tokens is not None:
-                raise ValidationError(f"{where}: convnet branches take no attention options")
+        elif b.window_tokens is not None:
+            raise ValidationError(f"{where}: window_tokens set but attention is global")
     for i in range(1, len(cfg.branches)):
         prev, cur = cfg.branches[i - 1], cfg.branches[i]
         if cur.dim > prev.dim:

@@ -14,7 +14,7 @@ Conventions (documented in the README):
 
 Parameter totals agree *exactly* with the instantiated registry for every
 config; the test-suite pins this for all presets and for off-preset variants
-with padded windows, regular attention, dense merges and a convnet branch.
+with padded windows, regular attention and dense merges.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import (
-    Arch,
     AttentionImpl,
     AttentionKind,
     BranchSpec,
@@ -85,27 +84,15 @@ class CostReport:
 def _branch_params(b: BranchSpec) -> int:
     d = b.dim
     g = b.resolution // b.patch_size
-    embed = b.patch_size * b.patch_size * 3 * d + d
-    if b.arch is Arch.TRANSFORMER:
-        embed += g * g * d  # positional embedding
-        h = ffn_hidden(d, b.mlp_ratio)
-        block = (
-            (d * 3 * d + 3 * d)  # qkv
-            + (d * d + d)  # proj
-            + 4 * d  # two layer norms
-            + (d * h + h)
-            + (h * d + d)
-        )
-    else:
-        embed += 2 * d  # stem norm
-        k = 7
-        block = (
-            (k * k * d + d)  # depthwise
-            + 2 * d  # channel norm
-            + (d * 4 * d + 4 * d)
-            + (4 * d * d + d)
-            + d  # residual scale
-        )
+    h = ffn_hidden(d, b.mlp_ratio)
+    embed = b.patch_size * b.patch_size * 3 * d + d + g * g * d  # patchify, positional
+    block = (
+        (d * 3 * d + 3 * d)  # qkv
+        + (d * d + d)  # proj
+        + 4 * d  # two layer norms
+        + (d * h + h)
+        + (h * d + d)
+    )
     return embed + b.depth * block
 
 
@@ -113,17 +100,14 @@ def _branch_flops(b: BranchSpec) -> int:
     d = b.dim
     g = b.resolution // b.patch_size
     n = g * g
+    h = ffn_hidden(d, b.mlp_ratio)
     patchify = n * d * 3 * b.patch_size * b.patch_size
-    if b.arch is Arch.TRANSFORMER:
-        h = ffn_hidden(d, b.mlp_ratio)
-        padded, t = n, n  # tokens through qkv, tokens one attention spans
-        if b.attention_mode is AttentionKind.WINDOWED:
-            side = window_side(b.window_tokens)
-            t = side * side
-            padded = -(-g // side) * (-(-g // side)) * t
-        block = 3 * padded * d * d + 2 * padded * t * d + n * d * d + 2 * n * d * h
-    else:
-        block = n * 49 * d + 8 * n * d * d
+    padded, t = n, n  # tokens through qkv, tokens one attention spans
+    if b.attention_mode is AttentionKind.WINDOWED:
+        side = window_side(b.window_tokens)
+        t = side * side
+        padded = -(-g // side) * (-(-g // side)) * t
+    block = 3 * padded * d * d + 2 * padded * t * d + n * d * d + 2 * n * d * h
     return patchify + b.depth * block
 
 

@@ -209,12 +209,17 @@ class NaNCellError(ValueError):
 
 
 def numeric_column(rows: list[Row], col: str) -> list[float]:
-    """One column of a table as floats; a missing, non-numeric or NaN cell names its row."""
+    """One column of a table as floats; a missing, non-numeric or NaN cell names its row.
+
+    A boolean cell is not a number, although ``float(True) == 1.0``.
+    """
     values = []
     for i, row in enumerate(rows):
         if col not in row:
             raise ValueError(f"column {col!r} missing from table row {i}")
         try:
+            if isinstance(row[col], bool):
+                raise TypeError
             value = float(row[col])  # type: ignore[arg-type]
         except (TypeError, ValueError):
             raise ValueError(

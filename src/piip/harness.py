@@ -258,7 +258,7 @@ def randomize_gates(model: PiipModel, rng: np.random.Generator, scale: float = 0
     would be vacuous for most parameter families.
     """
     for name, value in model.params.items():
-        zeroed_gate = name.endswith((".gamma", ".tau", ".scale"))
+        zeroed_gate = name.endswith((".gamma", ".tau"))
         classifier = name.startswith("head") and name.endswith(".w")
         if zeroed_gate or classifier:
             model.params[name] = rng.standard_normal(value.shape) * scale
@@ -335,6 +335,8 @@ def make_dataset(
     task: SyntheticTask, n: int, seed: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """n images [canvas, canvas, 3] in [0, 1] plus integer labels."""
+    if n < 0:
+        raise ValueError(f"make_dataset: n must be >= 0, got {n}")
     if task.glyph_size > task.canvas:
         raise ValueError(f"a {task.glyph_size}-px glyph does not fit a {task.canvas}-px canvas")
     rng = np.random.default_rng(task.seed if seed is None else seed)

@@ -143,26 +143,6 @@ def conv2d_ref(grid, kernel, bias, stride, pad):
     return out
 
 
-def depthwise_conv_ref(grid, kernel, bias):
-    """kernel [kh, kw, c]; stride 1, zero padding kh//2."""
-    h, w, c = grid.shape
-    kh, kw, _ = kernel.shape
-    pad = kh // 2
-    out = [[[0.0] * c for _ in range(w)] for _ in range(h)]
-    for oy in range(h):
-        for ox in range(w):
-            for k in range(c):
-                acc = float(bias[k]) if bias is not None else 0.0
-                for dy in range(kh):
-                    for dx in range(kw):
-                        yy = oy + dy - pad
-                        xx = ox + dx - pad
-                        if 0 <= yy < h and 0 <= xx < w:
-                            acc += float(grid[yy, xx, k]) * float(kernel[dy, dx, k])
-                out[oy][ox][k] = acc
-    return out
-
-
 def reference_points_ref(grid_h, grid_w):
     pts = []
     for i in range(grid_h):

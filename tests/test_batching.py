@@ -9,7 +9,6 @@ from piip import autodiff as ad
 from piip import harness
 from piip.branches import Branch, FeatureMap
 from piip.config import (
-    Arch,
     AttentionKind,
     BranchSpec,
     InteractionSchedule,
@@ -90,10 +89,8 @@ def branch_case(spec, grid):
                        attention_mode=AttentionKind.WINDOWED, window_tokens=16),
             (6, 6),  # padded to 8x8, four windows
         ),
-        (BranchSpec(depth=1, dim=8, heads=1, patch_size=4, resolution=16, arch=Arch.CONVNET),
-         (4, 4)),
     ],
-    ids=["global-attention", "windowed-attention", "conv-block"],
+    ids=["global-attention", "windowed-attention"],
 )
 def test_blocks_batch(spec, grid):
     layer, params = branch_case(spec, grid)
@@ -101,13 +98,13 @@ def test_blocks_batch(spec, grid):
     assert_batch_equals_singles(layer, params, [tokens])
 
 
-@pytest.mark.parametrize("arch", [Arch.TRANSFORMER, Arch.CONVNET], ids=["patch-embed", "conv-stem"])
-def test_stems_batch(arch):
+@pytest.mark.parametrize("size", [24, 16], ids=["patch-embed", "patch-embed-no-resize"])
+def test_stems_batch(size):
     # a 24 px input is resized to the branch's 16 px before the stride-4 conv
-    spec = BranchSpec(depth=1, dim=8, heads=2, patch_size=4, resolution=16, arch=arch)
+    spec = BranchSpec(depth=1, dim=8, heads=2, patch_size=4, resolution=16)
     branch = Branch(1, spec)
     params = random_params(branch.declare, 6)
-    images = RNG.random((B, 24, 24, 3))
+    images = RNG.random((B, size, size, 3))
     layer = lambda P, xs: branch.embed_forward(P, xs[0]).tokens  # noqa: E731
     assert_batch_equals_singles(layer, params, [images])
 

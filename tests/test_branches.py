@@ -4,7 +4,7 @@ import numpy as np
 
 from piip import autodiff as ad
 from piip.branches import Branch, FeatureMap
-from piip.config import Arch, AttentionKind, BranchSpec
+from piip.config import AttentionKind, BranchSpec
 from piip.params import ParamSpec, allocate
 
 RNG = np.random.default_rng(31337)
@@ -102,28 +102,6 @@ def test_windowed_pads_non_divisible_grid():
     img = ad.leaf(RNG.random((24, 24, 3)))
     out = branch.segment(P, branch.embed_forward(P, img), 0, 1)
     assert out.tokens.shape == (36, 8)  # 6x6 grid survives the pad/crop
-
-
-def test_conv_branch_blocks_start_as_identity():
-    spec = BranchSpec(depth=2, dim=8, heads=1, patch_size=4, resolution=16,
-                      arch=Arch.CONVNET)
-    branch, P = build(spec)
-    img = ad.leaf(RNG.random((16, 16, 3)))
-    state = branch.embed_forward(P, img)
-    out = branch.segment(P, state, 0, 2)
-    # zero residual scale: blocks are bitwise no-ops at init
-    assert np.array_equal(out.tokens.value, state.tokens.value)
-
-
-def test_conv_branch_blocks_act_once_scale_is_nonzero():
-    spec = BranchSpec(depth=1, dim=8, heads=1, patch_size=4, resolution=16,
-                      arch=Arch.CONVNET)
-    branch, P = build(spec)
-    P["branch1.block1.scale"] = ad.leaf(np.full(8, 0.5))
-    img = ad.leaf(RNG.random((16, 16, 3)))
-    state = branch.embed_forward(P, img)
-    out = branch.segment(P, state, 0, 1)
-    assert not np.array_equal(out.tokens.value, state.tokens.value)
 
 
 def test_single_token_grid_attention_is_wellformed():

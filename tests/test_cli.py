@@ -147,13 +147,14 @@ def test_pareto_rejects_extra_cells(tmp_path, capsys):
     assert "line 2 has 4 cells" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cell", ["abc", ""], ids=["abc", "empty"])
-def test_pareto_names_a_non_numeric_cell(tmp_path, capsys, cell):
+@pytest.mark.parametrize("cell, shown", [("abc", "'abc'"), ("", "''"), ("true", "True")],
+                         ids=["abc", "empty", "true"])
+def test_pareto_names_a_non_numeric_cell(tmp_path, capsys, cell, shown):
     table = tmp_path / "measured.csv"
     table.write_text(f"config_id,flops,acc\nr16,100,0.5\nr32,{cell},0.9\n")
     assert main(["pareto", str(table)]) == 1
     assert capsys.readouterr().err == (
-        f"error: column 'flops' is not a number in table row 1: {cell!r}\n"
+        f"error: column 'flops' is not a number in table row 1: {shown}\n"
     )
 
 

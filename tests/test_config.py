@@ -269,13 +269,8 @@ def valid_configs(draw):
         patch = draw(st.integers(1, 4))
         least = -(-resolution // patch)  # non-decreasing resolutions, whole patches
         resolution = patch * draw(st.integers(least, least + 4))
-        convnet = draw(st.booleans())  # a convnet branch has no MLP width to keep >= 1
         common = dict(depth=depth, dim=dim, patch_size=patch, resolution=resolution,
-                      mlp_ratio=draw(RATIOS if convnet else ratios_for(dim)))
-        if convnet:
-            branches.append(cf.BranchSpec(heads=draw(st.integers(-2, 4)), arch=cf.Arch.CONVNET,
-                                          **common))
-            continue
+                      mlp_ratio=draw(ratios_for(dim)))
         heads = draw(st.sampled_from([h for h in range(1, dim + 1) if dim % h == 0]))
         side = st.integers(1, min(4, resolution // patch))  # a window fits in its grid
         window = draw(st.one_of(st.none(), side.map(lambda s: s * s)))
@@ -376,19 +371,24 @@ def test_mutated_presets_parse_or_raise_config_error(text):
 
 
 # docs/config-format.md is pinned to the code: its example is a rendered
-# preset, and each key it documents takes the default it states.
+# preset, each key it documents takes the default it states, and each enum
+# row lists exactly its enum's values.
 DOC = (Path(__file__).resolve().parents[1] / "docs" / "config-format.md").read_text()
 DOC_EXAMPLE = re.search(r"```ini\n(.*?)```", DOC, re.S)[1]
 
 
+ENUMS = {"arch": cf.Arch, "attention_impl": cf.AttentionImpl, "mode": cf.MergeMode,
+         "proj": cf.ProjStyle}
+
+
 def documented_keys():
-    """(section, key, default cell) for each row of the doc's key tables."""
+    """(section, key, type, default, meaning) cells for each row of the doc's key tables."""
     rows, section = [], None
     for line in DOC.splitlines():
         if m := re.fullmatch(r"### `\[(.+)\]`", line):
             section = m[1].replace(".N", ".1")
-        elif section and (m := re.match(r"\| `(\w+)` +\|[^|]+\| (.+?) +\|", line)):
-            rows.append((section, m[1], m[2]))
+        elif section and (m := re.fullmatch(r"\| `(\w+)` +" + r"\| (.+?) +" * 3 + r"\|", line)):
+            rows.append((section, *m.groups()))
     return rows
 
 
@@ -412,13 +412,16 @@ def test_doc_example_is_rendered_tiny_preset():
     ini.read_string(DOC_EXAMPLE)
     first_branch = [s for s in ini.sections() if not s.startswith("branch.") or s == "branch.1"]
     in_example = {(s, k) for s in first_branch for k in ini[s]}
-    assert {(s, k) for s, k, _ in documented_keys()} == in_example
+    assert {(s, k) for s, k, *_ in documented_keys()} == in_example
 
 
 @pytest.mark.parametrize(
-    "section, key, default", documented_keys(), ids=[f"{s}.{k}" for s, k, _ in documented_keys()]
+    "section, key, kind, default, meaning", documented_keys(),
+    ids=[f"{s}.{k}" for s, k, *_ in documented_keys()],
 )
-def test_documented_default(section, key, default):
+def test_documented_default(section, key, kind, default, meaning):
+    if kind == "enum":
+        assert set(re.findall(r"`(\w+)`", meaning)) == {m.value for m in ENUMS[key]}
     omitted = set_key(DOC_EXAMPLE, section, key)
     assert omitted != DOC_EXAMPLE
     if default == "required":
@@ -465,8 +468,6 @@ def with_schedule(**changes) -> cf.PyramidConfig:
          cf.ValidationError, "branch 3: windowed attention needs window_tokens"),
         (lambda: cf.validate(with_branch(3, window_tokens=4)), cf.ValidationError,
          "branch 3: window_tokens set but attention is global"),
-        (lambda: cf.validate(with_branch(3, arch=cf.Arch.CONVNET, window_tokens=4)),
-         cf.ValidationError, "branch 3: convnet branches take no attention options"),
         (lambda: cf.validate(with_schedule(deform_points=0)), cf.ValidationError,
          "interactions: deform_points must be >= 1"),
         (lambda: cf.validate(with_schedule(deform_ratio=1.5)), cf.ValidationError,
@@ -483,6 +484,8 @@ def with_schedule(**changes) -> cf.PyramidConfig:
          "seed must be non-negative, got -1"),
         (lambda: cf.parse_config(MINIMAL.replace("[branch.2]", "[branch.x]")), cf.ParseError,
          "bad branch section name [branch.x]"),
+        (lambda: cf.parse_config(MINIMAL.replace("[branch.1]\n", "[branch.1]\narch = convnet\n")),
+         cf.ParseError, "[branch.1] arch: expected 'transformer', got 'convnet'"),
         (lambda: cf.validate(with_branch(1, mlp_ratio=0.01)), cf.ValidationError,
          "branch 1: MLP hidden width 0.01 * 32 = 0.32 must round to a finite width >= 1"),
         (lambda: cf.validate(with_branch(3, mlp_ratio=0.0625)), cf.ValidationError,
@@ -495,9 +498,9 @@ def with_schedule(**changes) -> cf.PyramidConfig:
     ],
     ids=[
         "no-branches", "depth-0", "unequal-depths", "patch-0", "resolution-below-patch",
-        "windowed-without-tokens", "tokens-with-global", "convnet-attention", "deform-points-0",
+        "windowed-without-tokens", "tokens-with-global", "deform-points-0",
         "deform-ratio-above-1", "direction-out-of-range", "direction-to-itself",
-        "duplicate-direction", "one-class", "negative-seed", "branch-section-name",
+        "duplicate-direction", "one-class", "negative-seed", "branch-section-name", "arch-convnet",
         "mlp-width-0", "mlp-width-half", "mlp-width-inf", "ffn-width-0",
     ],
 )
@@ -508,6 +511,5 @@ def test_config_checks_raise_their_messages(check, error, message):
 
 def test_hidden_width_of_one_validates_and_unbuilt_widths_are_not_checked():
     cf.validate(with_branch(3, mlp_ratio=0.125))  # 0.125 * 8 = 1
-    # convnet blocks use a fixed 4x width; no interaction FFN exists at count 0
-    cf.validate(with_branch(3, arch=cf.Arch.CONVNET, mlp_ratio=0.01))
+    # no interaction FFN exists at count 0
     cf.validate(with_schedule(count=0, ffn_ratio=0.05))

@@ -69,7 +69,8 @@ def test_pareto_nan_cells_raise_in_both_paths(column, row):
             path(rows, "flops", "acc")
 
 
-@pytest.mark.parametrize("cell", ["abc", "", [32, 64]], ids=["abc", "empty", "resolution-list"])
+@pytest.mark.parametrize("cell", ["abc", "", [32, 64], True],
+                         ids=["abc", "empty", "resolution-list", "boolean"])
 def test_pareto_non_numeric_cells_raise_in_both_paths(cell):
     # used to raise float()'s own error, which names neither column nor row
     rows = [{"flops": 1.0, "acc": 0.3}, {"flops": cell, "acc": 0.5}]

@@ -158,6 +158,8 @@ def test_make_dataset_empty():
     images, labels = harness.make_dataset(task, 0)
     assert images.shape == (0, 64, 64, 3)
     assert labels.shape == (0,)
+    with pytest.raises(ValueError, match=re.escape("make_dataset: n must be >= 0, got -1")):
+        harness.make_dataset(task, -1)
 
 
 def test_high_freq_fraction_needs_a_grid():

@@ -27,13 +27,12 @@ def tiny_image(rng=RNG):
 
 
 # the variants reach the cost model's lines for padded windows, regular
-# attention, dense merges and convnet branches, which no preset does
+# attention and dense merges, which no preset does
 REGISTRY_CONFIGS = {name: preset(name) for name in PRESET_NAMES} | {
     "padded-window": variants.PADDED_WINDOW,
     "regular-attention": variants.REGULAR_ATTENTION,
     "dense-linear": variants.DENSE_LINEAR,
     "dense-conv3x3": variants.DENSE_CONV3X3,
-    "convnet-branch": variants.CONVNET_BRANCH,
 }
 
 
@@ -313,9 +312,7 @@ def test_weights_doc_names_exist_in_registry():
     pattern = r'[`"]((?:branch|interaction|head|merge)[\w.]*)[`"]'
     names = {n.removesuffix(".npy") for n in re.findall(pattern, text)}
     assert {"branch1.block1.qkv_w", "interaction1.pair1_2.to2.gamma"} <= names
-    assert {"branch3.embed.ln_g", "branch3.block1.dw_k"} <= names
     tiny = set(PiipModel(TINY, materialize=False).param_spec.decls)
-    tiny |= set(PiipModel(variants.CONVNET_BRANCH, materialize=False).param_spec.decls)
     dense = set(PiipModel(preset("piip-b"), materialize=False).param_spec.decls)  # merge.*
     assert [n for n in names if n not in (dense if n.startswith("merge.") else tiny)] == []
 

@@ -1,14 +1,13 @@
 """Small off-preset configs that reach the paths no preset takes.
 
 Every preset's windows tile its grid, every preset interacts through
-deformable attention, and no preset has a convnet branch or a dense
-``conv3x3`` merge; these variants of ``piip-tiny-test`` do.
+deformable attention, and no preset has a dense ``conv3x3`` merge; these
+variants of ``piip-tiny-test`` do.
 """
 
 from dataclasses import replace
 
 from piip.config import (
-    Arch,
     AttentionImpl,
     AttentionKind,
     BranchSpec,
@@ -29,6 +28,3 @@ REGULAR_ATTENTION = replace(
 )
 DENSE_LINEAR = replace(TINY, merge_mode=MergeMode.DENSE)
 DENSE_CONV3X3 = replace(TINY, merge_mode=MergeMode.DENSE, merge_proj=ProjStyle.CONV3X3)
-CONVNET_BRANCH = replace(
-    TINY, branches=TINY.branches[:2] + (replace(TINY.branches[2], arch=Arch.CONVNET),)
-)
